@@ -22,6 +22,7 @@ use ev8_core::Ev8Predictor;
 use ev8_predictors::bimodal::Bimodal;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::tage::{Tage, TageConfig};
+use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
 use ev8_predictors::BranchPredictor;
 use ev8_sim::{simulate, simulate_many};
 use ev8_workloads::spec95;
@@ -33,7 +34,7 @@ const SCALE: f64 = 0.002;
 
 /// Stable fixture keys (decoupled from `BranchPredictor::name`, which
 /// embeds configuration and may be reworded).
-const PREDICTORS: [&str; 4] = ["ev8", "gshare", "bimodal", "tage"];
+const PREDICTORS: [&str; 6] = ["ev8", "gshare", "bimodal", "tage", "gskew", "gskew_total"];
 
 fn build(key: &str) -> Box<dyn BranchPredictor> {
     match key {
@@ -44,6 +45,13 @@ fn build(key: &str) -> Box<dyn BranchPredictor> {
         "bimodal" => Box::new(Bimodal::new(14)),
         // The next-generation design at the exact EV8 budget.
         "tage" => Box::new(Tage::new(TageConfig::ev8_budget())),
+        // The EV8's 352 Kbit 2Bc-gskew without the implementation
+        // constraints, under the §4.2 partial update and the naive total
+        // update it is measured against.
+        "gskew" => Box::new(TwoBcGskew::new(TwoBcGskewConfig::ev8_size())),
+        "gskew_total" => Box::new(TwoBcGskew::new(
+            TwoBcGskewConfig::ev8_size().with_update_policy(UpdatePolicy::Total),
+        )),
         _ => unreachable!("unknown fixture key {key}"),
     }
 }

@@ -166,6 +166,11 @@ impl Ev8Config {
         self
     }
 
+    /// The four table geometries in BIM/G0/G1/Meta order.
+    pub const fn tables(&self) -> [TableConfig; 4] {
+        [self.bim, self.g0, self.g1, self.meta]
+    }
+
     /// Longest history length any table uses.
     pub fn max_history(&self) -> u32 {
         self.bim
@@ -177,8 +182,10 @@ impl Ev8Config {
 
     /// Total storage in bits over the eight physical arrays.
     pub fn storage_bits(&self) -> u64 {
-        let t = |c: &TableConfig| (1u64 << c.index_bits) + (1u64 << c.hysteresis_index_bits);
-        t(&self.bim) + t(&self.g0) + t(&self.g1) + t(&self.meta)
+        self.tables()
+            .iter()
+            .map(|t| (1u64 << t.index_bits) + (1u64 << t.hysteresis_index_bits))
+            .sum()
     }
 }
 

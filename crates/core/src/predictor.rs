@@ -12,16 +12,20 @@
 //! * the **engineered index functions** (§7);
 //! * the **partial update policy** of §4.2.
 //!
+//! The predictor is 2Bc-gskew's [`GskewTables`] behind one EV8 front end
+//! (fetch blocks, history, banks, index functions), which turns each
+//! branch into table indices. The SMT predictor in [`crate::smt`] puts
+//! several front ends over one table set and steps them the same way.
+//!
 //! The information-vector and indexing variants of Figures 7-9 are
 //! selected through [`Ev8Config`].
 
 use ev8_predictors::counter::Counter2;
 use ev8_predictors::history::GlobalHistory;
 use ev8_predictors::introspect::{ArrayInfo, FaultTarget};
-use ev8_predictors::provenance::{Provenance, UpdateAction};
-use ev8_predictors::skew::{xor_fold, InfoVector};
-use ev8_predictors::table::SplitCounterTable;
-use ev8_predictors::twobcgskew::ChosenComponent;
+use ev8_predictors::provenance::Provenance;
+use ev8_predictors::skew::xor_fold;
+use ev8_predictors::twobcgskew::{GskewTables, Indices, PredictionDetail, UpdatePolicy};
 use ev8_predictors::BranchPredictor;
 use ev8_trace::{BranchRecord, Outcome, Pc};
 
@@ -31,36 +35,200 @@ use crate::fetch::{FetchBlock, FetchState};
 use crate::index::IndexInputs;
 use crate::lghist::DelayedLghist;
 
-/// Table indices for the four logical tables, for one branch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Indices {
-    /// BIM table index.
-    pub bim: usize,
-    /// G0 table index.
-    pub g0: usize,
-    /// G1 table index.
-    pub g1: usize,
-    /// Meta table index.
-    pub meta: usize,
+/// The table set of an EV8 configuration.
+///
+/// # Panics
+///
+/// Panics if `config.index` is [`IndexScheme::Ev8`] but the geometry is
+/// not the Table 1 layout the hardware index functions assume (16K-entry
+/// BIM, 64K-entry G0/G1/Meta).
+pub(crate) fn ev8_tables(config: &Ev8Config) -> GskewTables {
+    if matches!(config.index, IndexScheme::Ev8 { .. }) {
+        assert_eq!(
+            config.tables().map(|t| t.index_bits),
+            [14, 16, 16, 16],
+            "the EV8 index functions assume the Table 1 geometry"
+        );
+    }
+    GskewTables::new(config.tables())
 }
 
-/// Per-component prediction detail (mirrors
-/// `ev8_predictors::twobcgskew::PredictionDetail`, computed under the
-/// EV8's constrained context).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Ev8Prediction {
-    /// BIM prediction.
-    pub bim: Outcome,
-    /// G0 prediction.
-    pub g0: Outcome,
-    /// G1 prediction.
-    pub g1: Outcome,
-    /// Majority of (BIM, G0, G1).
-    pub majority: Outcome,
-    /// The side the meta-predictor chose.
-    pub chosen: ChosenComponent,
-    /// Final prediction.
-    pub overall: Outcome,
+/// One thread's EV8 front end: fetch-block formation, the history the
+/// index functions see, and the §6 bank sequence. It turns each branch
+/// into [`Indices`] into a table set it does not own, so several front
+/// ends can share one set (§3).
+#[derive(Clone, Debug)]
+pub(crate) struct FrontEnd {
+    lghist: DelayedLghist,
+    ghist: GlobalHistory,
+    fetch: FetchState,
+    banks: BankSequencer,
+    current_bank: BankId,
+    pub(crate) last_block_start: Option<Pc>,
+    /// Scratch buffer of blocks completed during the current feed.
+    completed: Vec<FetchBlock>,
+}
+
+impl FrontEnd {
+    pub(crate) fn new(config: &Ev8Config) -> Self {
+        let (path_bit, delayed) = match config.history {
+            HistoryMode::Ghist => (false, false),
+            HistoryMode::Lghist {
+                path_bit,
+                three_blocks_old,
+                ..
+            } => (path_bit, three_blocks_old),
+        };
+        FrontEnd {
+            lghist: DelayedLghist::new(config.max_history().min(64), path_bit, delayed),
+            ghist: GlobalHistory::new(config.max_history().min(64)),
+            fetch: FetchState::new(),
+            banks: BankSequencer::new(),
+            current_bank: 0,
+            last_block_start: None,
+            completed: Vec::with_capacity(8),
+        }
+    }
+
+    /// The history value visible to the index functions right now.
+    fn visible_history(&self, config: &Ev8Config) -> u64 {
+        match config.history {
+            HistoryMode::Ghist => self.ghist.bits(),
+            HistoryMode::Lghist { .. } => self.lghist.visible_bits(),
+        }
+    }
+
+    /// A hash of the last three fetch-block addresses (the §5.2 path
+    /// information patch).
+    fn path_hash(&self) -> u64 {
+        let mut acc = 0u64;
+        for addr in self.lghist.recent_addresses() {
+            acc = acc.rotate_left(9) ^ (addr.as_u64() >> 2);
+        }
+        acc
+    }
+
+    /// The four table indices for a branch at `pc` in the current fetch
+    /// context.
+    fn indices(&self, config: &Ev8Config, pc: Pc) -> Indices {
+        let history = self.visible_history(config);
+        match config.index {
+            IndexScheme::Ev8 { wordline } => {
+                let inputs = IndexInputs {
+                    pc,
+                    history,
+                    z: self.lghist.z_address().unwrap_or(Pc::new(0)),
+                    bank: self.current_bank,
+                    wordline,
+                };
+                Indices {
+                    bim: inputs.bim(),
+                    g0: inputs.g0(),
+                    g1: inputs.g1(),
+                    meta: inputs.meta(),
+                }
+            }
+            IndexScheme::CompleteHash => {
+                let tables = config.tables();
+                let mut idx = Indices::complete_hash(pc, history, &tables);
+                let patched = matches!(
+                    config.history,
+                    HistoryMode::Lghist {
+                        path_patch: true,
+                        ..
+                    }
+                );
+                if patched {
+                    // Every hashed index also folds in the path hash.
+                    let patch = self.path_hash() as u128;
+                    let fold = |k: usize| xor_fold(patch, tables[k].index_bits) as usize;
+                    if tables[0].history_length != 0 {
+                        idx.bim ^= fold(0);
+                    }
+                    idx.g0 ^= fold(1);
+                    idx.g1 ^= fold(2);
+                    idx.meta ^= fold(3);
+                }
+                idx
+            }
+        }
+    }
+
+    /// Absorbs blocks completed by the fetch state: pushes their history
+    /// bits and assigns banks to the blocks that started.
+    fn absorb_blocks(&mut self) {
+        for b in &self.completed {
+            if self.last_block_start != Some(b.start) {
+                self.current_bank = self.banks.next_bank(b.start);
+                self.last_block_start = Some(b.start);
+            }
+            self.lghist.push_block(b.summary());
+        }
+        self.completed.clear();
+        if let Some(s) = self.fetch.current_start() {
+            if self.last_block_start != Some(s) {
+                self.current_bank = self.banks.next_bank(s);
+                self.last_block_start = Some(s);
+            }
+        }
+    }
+
+    /// Advances the front end through a record's straight-line gap so the
+    /// prediction context matches the fetch block that contains the
+    /// branch.
+    fn advance_to(&mut self, record: &BranchRecord) {
+        let completed = &mut self.completed;
+        self.fetch.feed_run(record, |b| completed.push(b));
+        self.absorb_blocks();
+    }
+
+    /// Applies the record's branch to the front end (block completion,
+    /// history insertion, bank sequencing).
+    fn apply_branch(&mut self, config: &Ev8Config, record: &BranchRecord) {
+        let completed = &mut self.completed;
+        self.fetch.feed_branch(record, |b| completed.push(b));
+        self.absorb_blocks();
+        if record.kind.is_conditional() {
+            if let HistoryMode::Ghist = config.history {
+                self.ghist.push(record.outcome);
+            }
+        }
+    }
+
+    /// Steps one record through this front end and `tables`: predicts a
+    /// conditional branch in the fetch block that contains it, applies
+    /// the §4.2 update, then moves the front end past the branch. Returns
+    /// the branch's [`Provenance`]; the plain paths keep only its
+    /// `overall` field, and the rest compiles away.
+    #[inline]
+    pub(crate) fn step(
+        &mut self,
+        config: &Ev8Config,
+        tables: &mut GskewTables,
+        record: &BranchRecord,
+    ) -> Option<Provenance> {
+        self.advance_to(record);
+        let provenance = record.kind.is_conditional().then(|| {
+            let idx = self.indices(config, record.pc);
+            let (d, action, meta_trained) =
+                tables.update(idx, UpdatePolicy::Partial, record.outcome);
+            Provenance {
+                pc: record.pc,
+                outcome: record.outcome,
+                bim: d.bim,
+                g0: d.g0,
+                g1: d.g1,
+                majority: d.majority,
+                chosen: d.chosen,
+                overall: d.overall,
+                action,
+                meta_trained,
+                bank: Some(self.current_bank),
+            }
+        });
+        self.apply_branch(config, record);
+        provenance
+    }
 }
 
 /// The Alpha EV8 conditional branch predictor.
@@ -80,18 +248,8 @@ pub struct Ev8Prediction {
 #[derive(Clone, Debug)]
 pub struct Ev8Predictor {
     config: Ev8Config,
-    bim: SplitCounterTable,
-    g0: SplitCounterTable,
-    g1: SplitCounterTable,
-    meta: SplitCounterTable,
-    lghist: DelayedLghist,
-    ghist: GlobalHistory,
-    fetch: FetchState,
-    banks: BankSequencer,
-    current_bank: BankId,
-    last_block_start: Option<Pc>,
-    /// Scratch buffer of blocks completed during the current feed.
-    completed: Vec<FetchBlock>,
+    tables: GskewTables,
+    front: FrontEnd,
 }
 
 impl Ev8Predictor {
@@ -103,38 +261,9 @@ impl Ev8Predictor {
     /// is not the Table 1 layout the hardware index functions assume
     /// (16K-entry BIM, 64K-entry G0/G1/Meta).
     pub fn new(config: Ev8Config) -> Self {
-        if matches!(config.index, IndexScheme::Ev8 { .. }) {
-            assert_eq!(
-                (
-                    config.bim.index_bits,
-                    config.g0.index_bits,
-                    config.g1.index_bits,
-                    config.meta.index_bits
-                ),
-                (14, 16, 16, 16),
-                "the EV8 index functions assume the Table 1 geometry"
-            );
-        }
-        let (path_bit, delayed) = match config.history {
-            HistoryMode::Ghist => (false, false),
-            HistoryMode::Lghist {
-                path_bit,
-                three_blocks_old,
-                ..
-            } => (path_bit, three_blocks_old),
-        };
         Ev8Predictor {
-            bim: SplitCounterTable::new(config.bim.index_bits, config.bim.hysteresis_index_bits),
-            g0: SplitCounterTable::new(config.g0.index_bits, config.g0.hysteresis_index_bits),
-            g1: SplitCounterTable::new(config.g1.index_bits, config.g1.hysteresis_index_bits),
-            meta: SplitCounterTable::new(config.meta.index_bits, config.meta.hysteresis_index_bits),
-            lghist: DelayedLghist::new(config.max_history().min(64), path_bit, delayed),
-            ghist: GlobalHistory::new(config.max_history().min(64)),
-            fetch: FetchState::new(),
-            banks: BankSequencer::new(),
-            current_bank: 0,
-            last_block_start: None,
-            completed: Vec::with_capacity(8),
+            tables: ev8_tables(&config),
+            front: FrontEnd::new(&config),
             config,
         }
     }
@@ -151,239 +280,40 @@ impl Ev8Predictor {
 
     /// The history value visible to the index functions right now.
     pub fn visible_history(&self) -> u64 {
-        match self.config.history {
-            HistoryMode::Ghist => self.ghist.bits(),
-            HistoryMode::Lghist { .. } => self.lghist.visible_bits(),
-        }
-    }
-
-    fn path_patch_enabled(&self) -> bool {
-        matches!(
-            self.config.history,
-            HistoryMode::Lghist {
-                path_patch: true,
-                ..
-            }
-        )
-    }
-
-    /// A hash of the last three fetch-block addresses (the §5.2 path
-    /// information patch).
-    fn path_hash(&self) -> u64 {
-        let mut acc = 0u64;
-        for addr in self.lghist.recent_addresses() {
-            acc = acc.rotate_left(9) ^ (addr.as_u64() >> 2);
-        }
-        acc
+        self.front.visible_history(&self.config)
     }
 
     /// Computes the four table indices for a branch at `pc` in the current
     /// fetch context.
     pub fn indices(&self, pc: Pc) -> Indices {
-        let history = self.visible_history();
-        match self.config.index {
-            IndexScheme::Ev8 { wordline } => {
-                let inputs = IndexInputs {
-                    pc,
-                    history,
-                    z: self.lghist.z_address().unwrap_or(Pc::new(0)),
-                    bank: self.current_bank,
-                    wordline,
-                };
-                Indices {
-                    bim: inputs.bim(),
-                    g0: inputs.g0(),
-                    g1: inputs.g1(),
-                    meta: inputs.meta(),
-                }
-            }
-            IndexScheme::CompleteHash => {
-                let patch = if self.path_patch_enabled() {
-                    self.path_hash()
-                } else {
-                    0
-                };
-                let table = |bank: u32, bits: u32, hlen: u32| -> usize {
-                    let iv = InfoVector::new(pc, history, hlen, bits);
-                    let idx = iv.index(bank);
-                    if patch != 0 {
-                        (idx ^ xor_fold(patch as u128, bits)) as usize
-                    } else {
-                        idx as usize
-                    }
-                };
-                let c = &self.config;
-                Indices {
-                    bim: if c.bim.history_length == 0 {
-                        pc.bits(2, c.bim.index_bits) as usize
-                    } else {
-                        table(0, c.bim.index_bits, c.bim.history_length)
-                    },
-                    g0: table(1, c.g0.index_bits, c.g0.history_length),
-                    g1: table(2, c.g1.index_bits, c.g1.history_length),
-                    meta: table(3, c.meta.index_bits, c.meta.history_length),
-                }
-            }
-        }
+        self.front.indices(&self.config, pc)
     }
 
     /// Reads the tables and combines them per the 2Bc-gskew rule.
-    pub fn predict_at(&self, idx: Indices) -> Ev8Prediction {
-        let bim = self.bim.read(idx.bim).prediction();
-        let g0 = self.g0.read(idx.g0).prediction();
-        let g1 = self.g1.read(idx.g1).prediction();
-        let votes = bim.as_bit() + g0.as_bit() + g1.as_bit();
-        let majority = Outcome::from(votes >= 2);
-        let chosen = if self.meta.read(idx.meta).prediction().is_taken() {
-            ChosenComponent::Majority
-        } else {
-            ChosenComponent::Bimodal
-        };
-        let overall = match chosen {
-            ChosenComponent::Majority => majority,
-            ChosenComponent::Bimodal => bim,
-        };
-        Ev8Prediction {
-            bim,
-            g0,
-            g1,
-            majority,
-            chosen,
-            overall,
-        }
-    }
-
-    fn strengthen_participants(
-        &mut self,
-        idx: Indices,
-        d: &Ev8Prediction,
-        chosen: ChosenComponent,
-        outcome: Outcome,
-    ) {
-        match chosen {
-            ChosenComponent::Bimodal => self.bim.strengthen(idx.bim),
-            ChosenComponent::Majority => {
-                if d.bim == outcome {
-                    self.bim.strengthen(idx.bim);
-                }
-                if d.g0 == outcome {
-                    self.g0.strengthen(idx.g0);
-                }
-                if d.g1 == outcome {
-                    self.g1.strengthen(idx.g1);
-                }
-            }
-        }
-    }
-
-    fn train_all(&mut self, idx: Indices, outcome: Outcome) {
-        self.bim.train(idx.bim, outcome);
-        self.g0.train(idx.g0, outcome);
-        self.g1.train(idx.g1, outcome);
-    }
-
-    /// The §4.2 partial update policy (identical to the 2Bc-gskew policy
-    /// in `ev8-predictors`, applied to the EV8's constrained indices).
-    /// Returns `(action, meta written)` for the observed path; the plain
-    /// path discards the pair, which is free (both values fall out of
-    /// branches the update already takes).
-    fn apply_partial_update(
-        &mut self,
-        idx: Indices,
-        d: Ev8Prediction,
-        outcome: Outcome,
-    ) -> (UpdateAction, bool) {
-        let predictions_differ = d.bim != d.majority;
-        if d.overall == outcome {
-            let all_agree = d.bim == d.g0 && d.g0 == d.g1;
-            if all_agree {
-                return (UpdateAction::StrengthenSkipped, false);
-            }
-            if predictions_differ {
-                self.meta.strengthen(idx.meta);
-            }
-            self.strengthen_participants(idx, &d, d.chosen, outcome);
-            (UpdateAction::Strengthened, predictions_differ)
-        } else if predictions_differ {
-            let majority_was_right = d.majority == outcome;
-            self.meta.train(idx.meta, Outcome::from(majority_was_right));
-            let new_chosen = if self.meta.read(idx.meta).prediction().is_taken() {
-                ChosenComponent::Majority
-            } else {
-                ChosenComponent::Bimodal
-            };
-            let new_overall = match new_chosen {
-                ChosenComponent::Majority => d.majority,
-                ChosenComponent::Bimodal => d.bim,
-            };
-            if new_overall == outcome {
-                self.strengthen_participants(idx, &d, new_chosen, outcome);
-                (UpdateAction::ChooserFirst, true)
-            } else {
-                self.train_all(idx, outcome);
-                (UpdateAction::TableCorrected, true)
-            }
-        } else {
-            self.train_all(idx, outcome);
-            (UpdateAction::TableCorrected, false)
-        }
-    }
-
-    /// Absorbs blocks completed by the fetch state: pushes their history
-    /// bits and assigns banks to the blocks that started.
-    fn absorb_blocks(&mut self) {
-        let completed = std::mem::take(&mut self.completed);
-        for b in &completed {
-            if self.last_block_start != Some(b.start) {
-                self.current_bank = self.banks.next_bank(b.start);
-                self.last_block_start = Some(b.start);
-            }
-            self.lghist.push_block(b.summary());
-        }
-        self.completed = completed;
-        self.completed.clear();
-        if let Some(s) = self.fetch.current_start() {
-            if self.last_block_start != Some(s) {
-                self.current_bank = self.banks.next_bank(s);
-                self.last_block_start = Some(s);
-            }
-        }
-    }
-
-    /// Advances the front end through a record's straight-line gap so the
-    /// prediction context matches the fetch block that contains the
-    /// branch.
-    fn advance_to(&mut self, record: &BranchRecord) {
-        let mut buf = std::mem::take(&mut self.completed);
-        self.fetch.feed_run(record, |b| buf.push(b));
-        self.completed = buf;
-        self.absorb_blocks();
-    }
-
-    /// Applies the record's branch to the front end (block completion,
-    /// history insertion, bank sequencing).
-    fn apply_branch(&mut self, record: &BranchRecord) {
-        let mut buf = std::mem::take(&mut self.completed);
-        self.fetch.feed_branch(record, |b| buf.push(b));
-        self.completed = buf;
-        self.absorb_blocks();
-        if record.kind.is_conditional() {
-            if let HistoryMode::Ghist = self.config.history {
-                self.ghist.push(record.outcome);
-            }
-        }
+    pub fn predict_at(&self, idx: Indices) -> PredictionDetail {
+        self.tables.read(idx)
     }
 
     /// The bank the current fetch block reads from.
     pub fn current_bank(&self) -> BankId {
-        self.current_bank
+        self.front.current_bank
     }
 
     /// Successive-fetch-block bank collisions observed by the §6 bank
     /// sequencer — always 0 by construction (the observability layer
     /// asserts this).
     pub fn bank_collisions(&self) -> u64 {
-        self.banks.collisions()
+        self.front.banks.collisions()
+    }
+
+    /// Reads the logical counter of one table (0 = BIM, 1 = G0, 2 = G1,
+    /// 3 = Meta) at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table > 3` or the index is out of range.
+    pub fn counter(&self, table: usize, index: usize) -> Counter2 {
+        self.tables.counter(table, index)
     }
 
     /// Opt-in observed step: performs exactly the state transition of
@@ -392,29 +322,7 @@ impl Ev8Predictor {
     /// decision, §4.2 update action, serving bank).
     #[inline]
     pub fn predict_and_update_observed(&mut self, record: &BranchRecord) -> Option<Provenance> {
-        self.advance_to(record);
-        let provenance = if record.kind.is_conditional() {
-            let idx = self.indices(record.pc);
-            let d = self.predict_at(idx);
-            let (action, meta_trained) = self.apply_partial_update(idx, d, record.outcome);
-            Some(Provenance {
-                pc: record.pc,
-                outcome: record.outcome,
-                bim: d.bim,
-                g0: d.g0,
-                g1: d.g1,
-                majority: d.majority,
-                chosen: d.chosen,
-                overall: d.overall,
-                action,
-                meta_trained,
-                bank: Some(self.current_bank),
-            })
-        } else {
-            None
-        };
-        self.apply_branch(record);
-        provenance
+        self.front.step(&self.config, &mut self.tables, record)
     }
 }
 
@@ -434,18 +342,11 @@ impl BranchPredictor for Ev8Predictor {
     }
 
     fn note_noncond(&mut self, record: &BranchRecord) {
-        self.advance_to(record);
-        self.apply_branch(record);
+        self.update_record(record);
     }
 
     fn update_record(&mut self, record: &BranchRecord) {
-        self.advance_to(record);
-        if record.kind.is_conditional() {
-            let idx = self.indices(record.pc);
-            let d = self.predict_at(idx);
-            let _ = self.apply_partial_update(idx, d, record.outcome);
-        }
-        self.apply_branch(record);
+        self.predict_and_update_observed(record);
     }
 
     // Inlined for parity with the observed step: `predict_and_update_observed`
@@ -455,17 +356,7 @@ impl BranchPredictor for Ev8Predictor {
     // no observer at all.
     #[inline]
     fn predict_and_update(&mut self, record: &BranchRecord) -> Option<Outcome> {
-        self.advance_to(record);
-        let prediction = if record.kind.is_conditional() {
-            let idx = self.indices(record.pc);
-            let d = self.predict_at(idx);
-            let _ = self.apply_partial_update(idx, d, record.outcome);
-            Some(d.overall)
-        } else {
-            None
-        };
-        self.apply_branch(record);
-        prediction
+        self.predict_and_update_observed(record).map(|p| p.overall)
     }
 
     fn name(&self) -> String {
@@ -497,38 +388,6 @@ impl BranchPredictor for Ev8Predictor {
     }
 }
 
-/// Convenience: expose the raw table state for tests and experiments.
-impl Ev8Predictor {
-    /// Reads the logical counter of one table (0 = BIM, 1 = G0, 2 = G1,
-    /// 3 = Meta) at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table > 3` or the index is out of range.
-    pub fn counter(&self, table: usize, index: usize) -> Counter2 {
-        match table {
-            0 => self.bim.read(index),
-            1 => self.g0.read(index),
-            2 => self.g1.read(index),
-            3 => self.meta.read(index),
-            _ => panic!("table must be 0..=3"),
-        }
-    }
-
-    /// Routes a flat fault-array index to the owning table and its
-    /// sub-array (0 = prediction, 1 = hysteresis).
-    fn fault_table_mut(&mut self, array: usize) -> (&mut SplitCounterTable, usize) {
-        let table = match array / 2 {
-            0 => &mut self.bim,
-            1 => &mut self.g0,
-            2 => &mut self.g1,
-            3 => &mut self.meta,
-            _ => panic!("EV8 predictor has eight arrays"),
-        };
-        (table, array & 1)
-    }
-}
-
 /// Fault-array names for the four physical tables (§7.1): prediction and
 /// hysteresis arrays per table, in BIM/G0/G1/Meta order to match the
 /// 2Bc-gskew scheme-level layout.
@@ -550,27 +409,24 @@ impl FaultTarget for Ev8Predictor {
     /// so SEU campaigns target the full implementation-constrained
     /// predictor, not just the scheme-level model.
     fn fault_arrays(&self) -> Vec<ArrayInfo> {
-        [&self.bim, &self.g0, &self.g1, &self.meta]
+        self.tables
+            .fault_arrays()
             .into_iter()
-            .flat_map(FaultTarget::fault_arrays)
             .zip(EV8_FAULT_NAMES)
             .map(|(info, name)| ArrayInfo { name, ..info })
             .collect()
     }
 
     fn flip_bit(&mut self, array: usize, bit: usize) {
-        let (table, sub) = self.fault_table_mut(array);
-        FaultTarget::flip_bit(table, sub, bit);
+        self.tables.flip_bit(array, bit);
     }
 
     fn force_bit(&mut self, array: usize, bit: usize, value: u8) {
-        let (table, sub) = self.fault_table_mut(array);
-        FaultTarget::force_bit(table, sub, bit, value);
+        self.tables.force_bit(array, bit, value);
     }
 
     fn flip_word(&mut self, array: usize, word: usize) {
-        let (table, sub) = self.fault_table_mut(array);
-        FaultTarget::flip_word(table, sub, word);
+        self.tables.flip_word(array, word);
     }
 }
 
@@ -646,7 +502,7 @@ mod tests {
         }
         assert_eq!(p.predict(Pc::new(0x1010)), Outcome::Taken);
         // ghist advanced once per conditional branch.
-        assert_eq!(p.ghist.bits() & 0xF, 0xF);
+        assert_eq!(p.front.ghist.bits() & 0xF, 0xF);
     }
 
     #[test]
@@ -697,7 +553,7 @@ mod tests {
         let mut p = Ev8Predictor::ev8();
         // Three NT branches inside one aligned region, then a taken one:
         // exactly one block completes, inserting exactly one lghist bit.
-        let cfg_hist_before = p.lghist.visible_bits();
+        let cfg_hist_before = p.front.lghist.visible_bits();
         p.predict_and_update(&not_taken(0x3_0000));
         p.predict_and_update(&not_taken(0x3_0004));
         p.predict_and_update(&not_taken(0x3_0008));
@@ -707,7 +563,7 @@ mod tests {
         for i in 1..=3u64 {
             p.predict_and_update(&taken(0x4_0000 * i, 0x4_0000 * (i + 1)));
         }
-        let h = p.lghist.visible_bits();
+        let h = p.front.lghist.visible_bits();
         // Exactly one bit committed, from the first block: its last
         // conditional branch was the taken one at 0x3_000c (pc bit 4 = 0,
         // outcome 1 -> lghist bit 1). Had the NT branches ended blocks,

@@ -213,10 +213,17 @@ impl TwoBcGskewConfig {
             .max(self.meta.history_length)
     }
 
+    /// The four table geometries in BIM/G0/G1/Meta order.
+    pub const fn tables(&self) -> [TableConfig; 4] {
+        [self.bim, self.g0, self.g1, self.meta]
+    }
+
     /// Total storage in bits across the eight physical arrays.
     pub fn storage_bits(&self) -> u64 {
-        let table = |t: &TableConfig| (1u64 << t.index_bits) + (1u64 << t.hysteresis_index_bits);
-        table(&self.bim) + table(&self.g0) + table(&self.g1) + table(&self.meta)
+        self.tables()
+            .iter()
+            .map(|t| (1u64 << t.index_bits) + (1u64 << t.hysteresis_index_bits))
+            .sum()
     }
 }
 
@@ -227,6 +234,16 @@ pub enum ChosenComponent {
     Bimodal,
     /// The meta-predictor selected the e-gskew majority vote.
     Majority,
+}
+
+impl ChosenComponent {
+    /// The prediction of the chosen side.
+    fn select(self, bim: Outcome, majority: Outcome) -> Outcome {
+        match self {
+            ChosenComponent::Majority => majority,
+            ChosenComponent::Bimodal => bim,
+        }
+    }
 }
 
 /// All per-component predictions for one lookup — exposed for tests, for
@@ -247,145 +264,90 @@ pub struct PredictionDetail {
     pub overall: Outcome,
 }
 
-/// The 2Bc-gskew predictor.
+/// Indices into the four tables for one branch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Indices {
+    /// BIM table index.
+    pub bim: usize,
+    /// G0 table index.
+    pub g0: usize,
+    /// G1 table index.
+    pub g1: usize,
+    /// Meta table index.
+    pub meta: usize,
+}
+
+impl Indices {
+    /// The complete-hash indices of 2Bc-gskew: table `k` (BIM, G0, G1,
+    /// Meta for `k` = 0..3) skews the PC and the `tables[k].history_length`
+    /// youngest bits of `history` with skewing function `k`. A BIM that
+    /// uses no history is indexed by the PC alone.
+    #[inline]
+    pub fn complete_hash(pc: Pc, history: u64, tables: &[TableConfig; 4]) -> Self {
+        let index = |k: usize| {
+            let t = tables[k];
+            InfoVector::new(pc, history, t.history_length, t.index_bits).index(k as u32) as usize
+        };
+        Indices {
+            bim: if tables[0].history_length == 0 {
+                pc.bits(2, tables[0].index_bits) as usize
+            } else {
+                index(0)
+            },
+            g0: index(1),
+            g1: index(2),
+            meta: index(3),
+        }
+    }
+}
+
+/// The four 2Bc-gskew tables with the table read and the §4.2 update.
 ///
-/// # Example
-///
-/// ```
-/// use ev8_predictors::{twobcgskew::{TwoBcGskew, TwoBcGskewConfig}, BranchPredictor};
-/// use ev8_trace::{Outcome, Pc};
-///
-/// let mut p = TwoBcGskew::new(TwoBcGskewConfig::size_512k());
-/// assert_eq!(p.storage_bits(), 512 * 1024);
-/// p.update(Pc::new(0x1000), Outcome::Taken);
-/// ```
+/// 2Bc-gskew, the EV8 and the SMT EV8 each drive one set; they differ
+/// only in how they compute the [`Indices`] of a branch.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TwoBcGskew {
-    config: TwoBcGskewConfig,
+pub struct GskewTables {
     bim: SplitCounterTable,
     g0: SplitCounterTable,
     g1: SplitCounterTable,
     meta: SplitCounterTable,
-    history: GlobalHistory,
-    /// Commit-time update queue: (indices captured at prediction time,
-    /// resolved outcome). Empty when `commit_window == 0`.
-    pending: std::collections::VecDeque<(Indices, Outcome)>,
 }
 
-/// Indices into the four tables for one branch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Indices {
-    bim: usize,
-    g0: usize,
-    g1: usize,
-    meta: usize,
-}
-
-impl TwoBcGskew {
-    /// Creates a 2Bc-gskew predictor from a configuration.
-    pub fn new(config: TwoBcGskewConfig) -> Self {
-        TwoBcGskew {
-            bim: SplitCounterTable::new(config.bim.index_bits, config.bim.hysteresis_index_bits),
-            g0: SplitCounterTable::new(config.g0.index_bits, config.g0.hysteresis_index_bits),
-            g1: SplitCounterTable::new(config.g1.index_bits, config.g1.hysteresis_index_bits),
-            meta: SplitCounterTable::new(config.meta.index_bits, config.meta.hysteresis_index_bits),
-            history: GlobalHistory::new(config.max_history().min(64)),
-            pending: std::collections::VecDeque::with_capacity(config.commit_window + 1),
-            config,
-        }
+impl GskewTables {
+    /// Tables of the given geometries, in BIM/G0/G1/Meta order.
+    pub fn new(tables: [TableConfig; 4]) -> Self {
+        let [bim, g0, g1, meta] =
+            tables.map(|t| SplitCounterTable::new(t.index_bits, t.hysteresis_index_bits));
+        GskewTables { bim, g0, g1, meta }
     }
 
-    /// The predictor's configuration.
-    pub fn config(&self) -> &TwoBcGskewConfig {
-        &self.config
-    }
-
-    /// The current global history register (for tests and experiments).
-    pub fn history(&self) -> &GlobalHistory {
-        &self.history
-    }
-
-    /// Total (prediction-array, hysteresis-array) writes across the four
-    /// tables — the §4.2 rationales are precisely about limiting these
-    /// ("The goal is to limit the number of strengthened counters" /
-    /// "...the number of counters written on a wrong prediction").
-    pub fn write_traffic(&self) -> (u64, u64) {
-        let tables = [&self.bim, &self.g0, &self.g1, &self.meta];
-        (
-            tables.iter().map(|t| t.prediction_writes()).sum(),
-            tables.iter().map(|t| t.hysteresis_writes()).sum(),
-        )
-    }
-
-    fn indices(&self, pc: Pc) -> Indices {
-        let h = self.history.bits();
-        let bim = if self.config.bim.history_length == 0 {
-            pc.bits(2, self.config.bim.index_bits) as usize
-        } else {
-            InfoVector::new(
-                pc,
-                h,
-                self.config.bim.history_length,
-                self.config.bim.index_bits,
-            )
-            .index(0) as usize
-        };
-        let g0 = InfoVector::new(
-            pc,
-            h,
-            self.config.g0.history_length,
-            self.config.g0.index_bits,
-        )
-        .index(1) as usize;
-        let g1 = InfoVector::new(
-            pc,
-            h,
-            self.config.g1.history_length,
-            self.config.g1.index_bits,
-        )
-        .index(2) as usize;
-        let meta = InfoVector::new(
-            pc,
-            h,
-            self.config.meta.history_length,
-            self.config.meta.index_bits,
-        )
-        .index(3) as usize;
-        Indices { bim, g0, g1, meta }
-    }
-
-    fn detail_at(&self, idx: Indices) -> (PredictionDetail, Counter2) {
-        let bim = self.bim.read(idx.bim).prediction();
-        let g0 = self.g0.read(idx.g0).prediction();
-        let g1 = self.g1.read(idx.g1).prediction();
-        let maj = majority(bim, g0, g1);
-        let meta_ctr = self.meta.read(idx.meta);
-        let chosen = if meta_ctr.prediction().is_taken() {
+    /// The side the Meta counter at `meta` selects.
+    #[inline]
+    fn choice(&self, meta: usize) -> ChosenComponent {
+        if self.meta.read(meta).prediction().is_taken() {
             ChosenComponent::Majority
         } else {
             ChosenComponent::Bimodal
-        };
-        let overall = match chosen {
-            ChosenComponent::Majority => maj,
-            ChosenComponent::Bimodal => bim,
-        };
-        (
-            PredictionDetail {
-                bim,
-                g0,
-                g1,
-                majority: maj,
-                chosen,
-                overall,
-            },
-            meta_ctr,
-        )
+        }
     }
 
-    /// Computes the full per-component prediction detail for `pc` under
-    /// the current history.
-    pub fn predict_detail(&self, pc: Pc) -> PredictionDetail {
-        self.detail_at(self.indices(pc)).0
+    /// Reads the counters at `idx` and combines them: Meta chooses
+    /// between BIM and the majority vote of (BIM, G0, G1).
+    #[inline]
+    pub fn read(&self, idx: Indices) -> PredictionDetail {
+        let bim = self.bim.read(idx.bim).prediction();
+        let g0 = self.g0.read(idx.g0).prediction();
+        let g1 = self.g1.read(idx.g1).prediction();
+        let majority = majority(bim, g0, g1);
+        let chosen = self.choice(idx.meta);
+        PredictionDetail {
+            bim,
+            g0,
+            g1,
+            majority,
+            chosen,
+            overall: chosen.select(bim, majority),
+        }
     }
 
     /// Strengthens participating tables after a correct prediction
@@ -424,12 +386,35 @@ impl TwoBcGskew {
         self.g1.train(idx.g1, outcome);
     }
 
-    /// Applies the §4.2 partial update and classifies what it did. The
-    /// returned pair is `(action, meta written)`; the plain update path
-    /// discards it (the values fall out of branches already taken, so
-    /// producing them costs nothing).
-    fn update_partial(&mut self, idx: Indices, outcome: Outcome) -> (UpdateAction, bool) {
-        let (d, _) = self.detail_at(idx);
+    /// Reads the counters at `idx` and applies `policy`'s update for a
+    /// branch that resolved to `outcome`. Returns what was read and the
+    /// update's `(action, meta written)`; the plain update paths discard
+    /// all three (the values fall out of reads and branches the update
+    /// takes anyway, so producing them costs nothing).
+    #[inline]
+    pub fn update(
+        &mut self,
+        idx: Indices,
+        policy: UpdatePolicy,
+        outcome: Outcome,
+    ) -> (PredictionDetail, UpdateAction, bool) {
+        let d = self.read(idx);
+        let (action, meta_trained) = match policy {
+            UpdatePolicy::Partial => self.update_partial(idx, &d, outcome),
+            UpdatePolicy::Total => self.update_total(idx, &d, outcome),
+        };
+        (d, action, meta_trained)
+    }
+
+    /// The §4.2 partial update for a branch whose counters at `idx` read
+    /// `d`; returns `(action, meta written)`.
+    #[inline]
+    fn update_partial(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        outcome: Outcome,
+    ) -> (UpdateAction, bool) {
         let predictions_differ = d.bim != d.majority;
 
         if d.overall == outcome {
@@ -443,26 +428,18 @@ impl TwoBcGskew {
                 // Strengthen Meta toward its (correct) current choice.
                 self.meta.strengthen(idx.meta);
             }
-            self.strengthen_participants(idx, &d, d.chosen, outcome);
+            self.strengthen_participants(idx, d, d.chosen, outcome);
             (UpdateAction::Strengthened, predictions_differ)
         } else if predictions_differ {
             // Rationale 2: first update the chooser, then recompute the
             // overall prediction with the new chooser value.
             let majority_was_right = d.majority == outcome;
             self.meta.train(idx.meta, Outcome::from(majority_was_right));
-            let new_chosen = if self.meta.read(idx.meta).prediction().is_taken() {
-                ChosenComponent::Majority
-            } else {
-                ChosenComponent::Bimodal
-            };
-            let new_overall = match new_chosen {
-                ChosenComponent::Majority => d.majority,
-                ChosenComponent::Bimodal => d.bim,
-            };
-            if new_overall == outcome {
+            let new_chosen = self.choice(idx.meta);
+            if new_chosen.select(d.bim, d.majority) == outcome {
                 // "correct prediction: strengthens all participating
                 // tables"
-                self.strengthen_participants(idx, &d, new_chosen, outcome);
+                self.strengthen_participants(idx, d, new_chosen, outcome);
                 (UpdateAction::ChooserFirst, true)
             } else {
                 // "misprediction: update all banks"
@@ -477,8 +454,15 @@ impl TwoBcGskew {
         }
     }
 
-    fn update_total(&mut self, idx: Indices, outcome: Outcome) -> (UpdateAction, bool) {
-        let (d, _) = self.detail_at(idx);
+    /// The naive total update (every bank trained toward the outcome,
+    /// Meta whenever the two sides disagree) for a branch whose counters
+    /// at `idx` read `d`; returns `(action, meta written)`.
+    fn update_total(
+        &mut self,
+        idx: Indices,
+        d: &PredictionDetail,
+        outcome: Outcome,
+    ) -> (UpdateAction, bool) {
         let meta_trained = d.bim != d.majority;
         if meta_trained {
             self.meta
@@ -488,43 +472,34 @@ impl TwoBcGskew {
         (UpdateAction::TableCorrected, meta_trained)
     }
 
-    /// Opt-in observed update: performs exactly the state transition of
-    /// [`BranchPredictor::update`] and returns the full [`Provenance`] of
-    /// the branch (votes, chooser decision, §4.2 action).
+    /// Total (prediction-array, hysteresis-array) writes across the four
+    /// tables — the §4.2 rationales are precisely about limiting these
+    /// ("The goal is to limit the number of strengthened counters" /
+    /// "...the number of counters written on a wrong prediction").
+    pub fn write_traffic(&self) -> (u64, u64) {
+        let tables = [&self.bim, &self.g0, &self.g1, &self.meta];
+        (
+            tables.iter().map(|t| t.prediction_writes()).sum(),
+            tables.iter().map(|t| t.hysteresis_writes()).sum(),
+        )
+    }
+
+    /// Reads the counter of one table (0 = BIM, 1 = G0, 2 = G1, 3 = Meta)
+    /// at `index`.
     ///
-    /// Only supported for immediate updates: with a commit window the
-    /// update action is unknowable until the delayed commit, so this
-    /// asserts `commit_window == 0`.
-    #[inline]
-    pub fn predict_update_observed(&mut self, pc: Pc, outcome: Outcome) -> Provenance {
-        assert_eq!(
-            self.config.commit_window, 0,
-            "observed updates require immediate (commit_window = 0) updates"
-        );
-        let idx = self.indices(pc);
-        let (d, _) = self.detail_at(idx);
-        let (action, meta_trained) = match self.config.update_policy {
-            UpdatePolicy::Partial => self.update_partial(idx, outcome),
-            UpdatePolicy::Total => self.update_total(idx, outcome),
-        };
-        self.history.push(outcome);
-        Provenance {
-            pc,
-            outcome,
-            bim: d.bim,
-            g0: d.g0,
-            g1: d.g1,
-            majority: d.majority,
-            chosen: d.chosen,
-            overall: d.overall,
-            action,
-            meta_trained,
-            bank: None,
+    /// # Panics
+    ///
+    /// Panics if `table > 3` or the index is out of range.
+    pub fn counter(&self, table: usize, index: usize) -> Counter2 {
+        match table {
+            0 => self.bim.read(index),
+            1 => self.g0.read(index),
+            2 => self.g1.read(index),
+            3 => self.meta.read(index),
+            _ => panic!("table must be 0..=3"),
         }
     }
-}
 
-impl TwoBcGskew {
     /// Maps a flat array index (0..8) onto (table, sub-array): arrays are
     /// listed table-major in EV8 bank order (BIM, G0, G1, Meta), each
     /// contributing its prediction array then its hysteresis array.
@@ -540,25 +515,28 @@ impl TwoBcGskew {
     }
 }
 
-impl FaultTarget for TwoBcGskew {
+/// The eight arrays of [`GskewTables`], named
+/// `{bim,g0,g1,meta}.{prediction,hysteresis}`.
+impl FaultTarget for GskewTables {
     fn fault_arrays(&self) -> Vec<ArrayInfo> {
-        let mut arrays = prefixed(
-            self.bim.fault_arrays(),
-            &["bim.prediction", "bim.hysteresis"],
-        );
-        arrays.extend(prefixed(
-            self.g0.fault_arrays(),
-            &["g0.prediction", "g0.hysteresis"],
-        ));
-        arrays.extend(prefixed(
-            self.g1.fault_arrays(),
-            &["g1.prediction", "g1.hysteresis"],
-        ));
-        arrays.extend(prefixed(
-            self.meta.fault_arrays(),
-            &["meta.prediction", "meta.hysteresis"],
-        ));
-        arrays
+        const NAMES: [&str; 8] = [
+            "bim.prediction",
+            "bim.hysteresis",
+            "g0.prediction",
+            "g0.hysteresis",
+            "g1.prediction",
+            "g1.hysteresis",
+            "meta.prediction",
+            "meta.hysteresis",
+        ];
+        let tables = [&self.bim, &self.g0, &self.g1, &self.meta];
+        prefixed(
+            tables
+                .into_iter()
+                .flat_map(FaultTarget::fault_arrays)
+                .collect(),
+            &NAMES,
+        )
     }
 
     fn flip_bit(&mut self, array: usize, bit: usize) {
@@ -577,6 +555,116 @@ impl FaultTarget for TwoBcGskew {
     }
 }
 
+/// The 2Bc-gskew predictor.
+///
+/// # Example
+///
+/// ```
+/// use ev8_predictors::{twobcgskew::{TwoBcGskew, TwoBcGskewConfig}, BranchPredictor};
+/// use ev8_trace::{Outcome, Pc};
+///
+/// let mut p = TwoBcGskew::new(TwoBcGskewConfig::size_512k());
+/// assert_eq!(p.storage_bits(), 512 * 1024);
+/// p.update(Pc::new(0x1000), Outcome::Taken);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TwoBcGskew {
+    config: TwoBcGskewConfig,
+    tables: GskewTables,
+    history: GlobalHistory,
+    /// Commit-time update queue: (indices captured at prediction time,
+    /// resolved outcome). Empty when `commit_window == 0`.
+    pending: std::collections::VecDeque<(Indices, Outcome)>,
+}
+
+impl TwoBcGskew {
+    /// Creates a 2Bc-gskew predictor from a configuration.
+    pub fn new(config: TwoBcGskewConfig) -> Self {
+        TwoBcGskew {
+            tables: GskewTables::new(config.tables()),
+            history: GlobalHistory::new(config.max_history().min(64)),
+            pending: std::collections::VecDeque::with_capacity(config.commit_window + 1),
+            config,
+        }
+    }
+
+    /// The predictor's configuration.
+    pub fn config(&self) -> &TwoBcGskewConfig {
+        &self.config
+    }
+
+    /// The current global history register (for tests and experiments).
+    pub fn history(&self) -> &GlobalHistory {
+        &self.history
+    }
+
+    /// Total (prediction-array, hysteresis-array) writes across the four
+    /// tables (see [`GskewTables::write_traffic`]).
+    pub fn write_traffic(&self) -> (u64, u64) {
+        self.tables.write_traffic()
+    }
+
+    fn indices(&self, pc: Pc) -> Indices {
+        Indices::complete_hash(pc, self.history.bits(), &self.config.tables())
+    }
+
+    /// Computes the full per-component prediction detail for `pc` under
+    /// the current history.
+    pub fn predict_detail(&self, pc: Pc) -> PredictionDetail {
+        self.tables.read(self.indices(pc))
+    }
+
+    /// Opt-in observed update: performs exactly the state transition of
+    /// [`BranchPredictor::update`] and returns the full [`Provenance`] of
+    /// the branch (votes, chooser decision, §4.2 action).
+    ///
+    /// Only supported for immediate updates: with a commit window the
+    /// update action is unknowable until the delayed commit, so this
+    /// asserts `commit_window == 0`.
+    #[inline]
+    pub fn predict_update_observed(&mut self, pc: Pc, outcome: Outcome) -> Provenance {
+        assert_eq!(
+            self.config.commit_window, 0,
+            "observed updates require immediate (commit_window = 0) updates"
+        );
+        let (d, action, meta_trained) =
+            self.tables
+                .update(self.indices(pc), self.config.update_policy, outcome);
+        self.history.push(outcome);
+        Provenance {
+            pc,
+            outcome,
+            bim: d.bim,
+            g0: d.g0,
+            g1: d.g1,
+            majority: d.majority,
+            chosen: d.chosen,
+            overall: d.overall,
+            action,
+            meta_trained,
+            bank: None,
+        }
+    }
+}
+
+impl FaultTarget for TwoBcGskew {
+    fn fault_arrays(&self) -> Vec<ArrayInfo> {
+        self.tables.fault_arrays()
+    }
+
+    fn flip_bit(&mut self, array: usize, bit: usize) {
+        self.tables.flip_bit(array, bit);
+    }
+
+    fn force_bit(&mut self, array: usize, bit: usize, value: u8) {
+        self.tables.force_bit(array, bit, value);
+    }
+
+    fn flip_word(&mut self, array: usize, word: usize) {
+        self.tables.flip_word(array, word);
+    }
+}
+
 impl BranchPredictor for TwoBcGskew {
     fn predict(&self, pc: Pc) -> Outcome {
         self.predict_detail(pc).overall
@@ -586,10 +674,7 @@ impl BranchPredictor for TwoBcGskew {
         let idx = self.indices(pc);
         if self.config.commit_window == 0 {
             // Immediate update — the paper's simulation methodology.
-            let _ = match self.config.update_policy {
-                UpdatePolicy::Partial => self.update_partial(idx, outcome),
-                UpdatePolicy::Total => self.update_total(idx, outcome),
-            };
+            self.tables.update(idx, self.config.update_policy, outcome);
         } else {
             // Commit-time update: the indices were computed under the
             // speculative (prediction-time) history; the counter write
@@ -598,10 +683,8 @@ impl BranchPredictor for TwoBcGskew {
             self.pending.push_back((idx, outcome));
             if self.pending.len() > self.config.commit_window {
                 let (cidx, coutcome) = self.pending.pop_front().expect("non-empty");
-                let _ = match self.config.update_policy {
-                    UpdatePolicy::Partial => self.update_partial(cidx, coutcome),
-                    UpdatePolicy::Total => self.update_total(cidx, coutcome),
-                };
+                self.tables
+                    .update(cidx, self.config.update_policy, coutcome);
             }
         }
         // History is updated speculatively at prediction time on the real
@@ -702,22 +785,22 @@ mod tests {
             p.update(pc, Outcome::Taken);
         }
         let idx = p.indices(pc);
-        let (d, _) = p.detail_at(idx);
+        let d = p.tables.read(idx);
         assert_eq!(d.bim, Outcome::Taken);
         assert_eq!(d.g0, Outcome::Taken);
         assert_eq!(d.g1, Outcome::Taken);
         let snapshot = (
-            p.bim.read(idx.bim).value(),
-            p.g0.read(idx.g0).value(),
-            p.g1.read(idx.g1).value(),
-            p.meta.read(idx.meta).value(),
+            p.tables.bim.read(idx.bim).value(),
+            p.tables.g0.read(idx.g0).value(),
+            p.tables.g1.read(idx.g1).value(),
+            p.tables.meta.read(idx.meta).value(),
         );
         p.update(pc, Outcome::Taken); // correct, all agreeing: no table write
         let after = (
-            p.bim.read(idx.bim).value(),
-            p.g0.read(idx.g0).value(),
-            p.g1.read(idx.g1).value(),
-            p.meta.read(idx.meta).value(),
+            p.tables.bim.read(idx.bim).value(),
+            p.tables.g0.read(idx.g0).value(),
+            p.tables.g1.read(idx.g1).value(),
+            p.tables.meta.read(idx.meta).value(),
         );
         assert_eq!(snapshot, after, "Rationale 1 violated");
     }
@@ -734,7 +817,7 @@ mod tests {
         }
         let idx = p.indices(pc);
         assert!(
-            p.g0.read(idx.g0).value() < 3 || p.g1.read(idx.g1).value() < 3,
+            p.tables.g0.read(idx.g0).value() < 3 || p.tables.g1.read(idx.g1).value() < 3,
             "agreeing banks should not all saturate under partial update"
         );
     }
@@ -750,10 +833,10 @@ mod tests {
         let idx = p.indices(pc);
         // Hand-set state: BIM strongly taken; G0,G1 strongly not-taken;
         // meta weakly majority (value 2).
-        p.bim.write(idx.bim, Counter2::new(3));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
-        p.meta.write(idx.meta, Counter2::new(2));
+        p.tables.bim.write(idx.bim, Counter2::new(3));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
+        p.tables.meta.write(idx.meta, Counter2::new(2));
         let d = p.predict_detail(pc);
         assert_eq!(d.chosen, ChosenComponent::Majority);
         assert_eq!(d.overall, Outcome::NotTaken);
@@ -761,11 +844,11 @@ mod tests {
         p.update(pc, Outcome::Taken);
         // Meta moved toward bimodal (2 -> 1): choice flips, banks only
         // strengthened on the bimodal side (BIM already saturated).
-        assert_eq!(p.meta.read(idx.meta).value(), 1);
-        assert_eq!(p.bim.read(idx.bim).value(), 3);
+        assert_eq!(p.tables.meta.read(idx.meta).value(), 1);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), 3);
         // G0/G1 were NOT retrained (they keep their strong not-taken).
-        assert_eq!(p.g0.read(idx.g0).value(), 0);
-        assert_eq!(p.g1.read(idx.g1).value(), 0);
+        assert_eq!(p.tables.g0.read(idx.g0).value(), 0);
+        assert_eq!(p.tables.g1.read(idx.g1).value(), 0);
     }
 
     #[test]
@@ -773,16 +856,16 @@ mod tests {
         let mut p = TwoBcGskew::new(TwoBcGskewConfig::equal(6, 0));
         let pc = Pc::new(0x100);
         let idx = p.indices(pc);
-        p.bim.write(idx.bim, Counter2::new(0));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
-        let meta_before = p.meta.read(idx.meta).value();
+        p.tables.bim.write(idx.bim, Counter2::new(0));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
+        let meta_before = p.tables.meta.read(idx.meta).value();
         p.update(pc, Outcome::Taken); // everyone wrong
-        assert_eq!(p.bim.read(idx.bim).value(), 1);
-        assert_eq!(p.g0.read(idx.g0).value(), 1);
-        assert_eq!(p.g1.read(idx.g1).value(), 1);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), 1);
+        assert_eq!(p.tables.g0.read(idx.g0).value(), 1);
+        assert_eq!(p.tables.g1.read(idx.g1).value(), 1);
         // Chooser had nothing to learn (both sides agreed and were wrong).
-        assert_eq!(p.meta.read(idx.meta).value(), meta_before);
+        assert_eq!(p.tables.meta.read(idx.meta).value(), meta_before);
     }
 
     #[test]
@@ -795,9 +878,9 @@ mod tests {
             p.update(pc, Outcome::Taken);
         }
         // Under total update all banks saturate.
-        assert_eq!(p.bim.read(idx.bim).value(), 3);
-        assert_eq!(p.g0.read(idx.g0).value(), 3);
-        assert_eq!(p.g1.read(idx.g1).value(), 3);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), 3);
+        assert_eq!(p.tables.g0.read(idx.g0).value(), 3);
+        assert_eq!(p.tables.g1.read(idx.g1).value(), 3);
     }
 
     #[test]
@@ -839,15 +922,15 @@ mod tests {
         let mut p = TwoBcGskew::new(cfg);
         let pc = Pc::new(0x100);
         let idx = p.indices(pc);
-        let before = p.bim.read(idx.bim).value();
+        let before = p.tables.bim.read(idx.bim).value();
         // Four updates fit entirely in the window: no table write yet.
         for _ in 0..4 {
             p.update(pc, Outcome::Taken);
         }
-        assert_eq!(p.bim.read(idx.bim).value(), before);
+        assert_eq!(p.tables.bim.read(idx.bim).value(), before);
         // The fifth update commits the first one.
         p.update(pc, Outcome::Taken);
-        assert_ne!(p.bim.read(idx.bim).value(), before);
+        assert_ne!(p.tables.bim.read(idx.bim).value(), before);
     }
 
     #[test]
@@ -984,10 +1067,10 @@ mod tests {
         // majority with a weak counter => chooser-first.
         let mut p = TwoBcGskew::new(TwoBcGskewConfig::equal(6, 0));
         let idx = p.indices(pc);
-        p.bim.write(idx.bim, Counter2::new(3));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
-        p.meta.write(idx.meta, Counter2::new(2));
+        p.tables.bim.write(idx.bim, Counter2::new(3));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
+        p.tables.meta.write(idx.meta, Counter2::new(2));
         let prov = p.predict_update_observed(pc, Outcome::Taken);
         assert!(!prov.correct());
         assert_eq!(prov.action, UpdateAction::ChooserFirst);
@@ -997,9 +1080,9 @@ mod tests {
         // Both sides wrong => table-corrected, chooser untouched.
         let mut p = TwoBcGskew::new(TwoBcGskewConfig::equal(6, 0));
         let idx = p.indices(pc);
-        p.bim.write(idx.bim, Counter2::new(0));
-        p.g0.write(idx.g0, Counter2::new(0));
-        p.g1.write(idx.g1, Counter2::new(0));
+        p.tables.bim.write(idx.bim, Counter2::new(0));
+        p.tables.g0.write(idx.g0, Counter2::new(0));
+        p.tables.g1.write(idx.g1, Counter2::new(0));
         let prov = p.predict_update_observed(pc, Outcome::Taken);
         assert_eq!(prov.action, UpdateAction::TableCorrected);
         assert!(!prov.meta_trained);

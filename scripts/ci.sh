@@ -30,34 +30,47 @@ if [ "$QUICK" -eq 0 ]; then
 fi
 run cargo test -q --workspace --offline
 
+# The benchmark (benchsuite/) is a workspace of its own, so the pass
+# above never compiles it; it drives the predictors' public API, so
+# build it and run its self-tests here.
+run cargo test --release --offline --manifest-path benchsuite/Cargo.toml
+
+# budgeted NAME ENV_VAR DEFAULT -- CMD...
+# Runs CMD against a wall-clock budget of ${ENV_VAR:-DEFAULT} seconds and
+# fails the gate if it runs over. The timing line drops a trailing
+# " smoke" from NAME; the error line keeps it.
+budgeted() {
+    local name="$1" var="$2" default="$3"
+    if [ "$#" -lt 5 ] || [ "$4" != "--" ]; then
+        echo "usage: budgeted NAME ENV_VAR DEFAULT -- CMD..." >&2
+        exit 2
+    fi
+    shift 4
+    local budget="${!var:-$default}" start elapsed
+    start=$(date +%s)
+    "$@"
+    elapsed=$(( $(date +%s) - start ))
+    echo "==> ${name% smoke} wall-clock: ${elapsed}s (budget ${budget}s)"
+    if [ "$elapsed" -gt "$budget" ]; then
+        echo "error: ${name} exceeded its ${budget}s wall-clock budget" >&2
+        exit 1
+    fi
+}
+
 # The heaviest tier-1 suite runs against a wall-clock budget. With the
 # memoized trace provider and parallel fan-out it finishes in well under
 # a minute; the generous default budget only trips on a real regression
 # (e.g. the trace cache silently regenerating at every call site).
-PAPER_SHAPES_BUDGET="${EV8_PAPER_SHAPES_BUDGET:-180}"
-paper_shapes_start=$(date +%s)
-run cargo test -q --test paper_shapes --offline
-paper_shapes_elapsed=$(( $(date +%s) - paper_shapes_start ))
-echo "==> paper_shapes wall-clock: ${paper_shapes_elapsed}s (budget ${PAPER_SHAPES_BUDGET}s)"
-if [ "$paper_shapes_elapsed" -gt "$PAPER_SHAPES_BUDGET" ]; then
-    echo "error: paper_shapes exceeded its ${PAPER_SHAPES_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+budgeted paper_shapes EV8_PAPER_SHAPES_BUDGET 180 -- \
+    run cargo test -q --test paper_shapes --offline
 
 # Robustness smoke, also budgeted: ten thousand fixed-seed trace
 # corruptions through both decoders (far past the 256-mutation floor the
 # fuzz contract requires) plus the SEU fault-injection campaign across
 # three benchmarks. Every case replays from a literal seed, so a failure
 # here is a one-line reproduction.
-FAULTS_BUDGET="${EV8_FAULTS_BUDGET:-120}"
-faults_start=$(date +%s)
-run cargo test -q --test fault_injection --offline
-faults_elapsed=$(( $(date +%s) - faults_start ))
-echo "==> fault_injection wall-clock: ${faults_elapsed}s (budget ${FAULTS_BUDGET}s)"
-if [ "$faults_elapsed" -gt "$FAULTS_BUDGET" ]; then
-    echo "error: fault_injection exceeded its ${FAULTS_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+budgeted fault_injection EV8_FAULTS_BUDGET 120 -- \
+    run cargo test -q --test fault_injection --offline
 
 # Observability smoke, budgeted like the suites above: the golden
 # misprediction fixture (exact counters for every benchmark × predictor
@@ -65,31 +78,19 @@ fi
 # pass of the attribution experiment at one-sample scale, which
 # exercises the observed simulation loop end-to-end and asserts the
 # reconciliation and §6 zero-collision invariants in-process.
-OBSERVE_BUDGET="${EV8_OBSERVE_BUDGET:-120}"
-observe_start=$(date +%s)
-run cargo test -q --test golden_misp --offline
-run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin attribution
-observe_elapsed=$(( $(date +%s) - observe_start ))
-echo "==> observability wall-clock: ${observe_elapsed}s (budget ${OBSERVE_BUDGET}s)"
-if [ "$observe_elapsed" -gt "$OBSERVE_BUDGET" ]; then
-    echo "error: observability smoke exceeded its ${OBSERVE_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+observability_smoke() {
+    run cargo test -q --test golden_misp --offline
+    run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin attribution
+}
+budgeted "observability smoke" EV8_OBSERVE_BUDGET 120 -- observability_smoke
 
 # Sweep-engine smoke, budgeted: the batched-vs-serial equivalence suite
 # (simulate_many / simulate_gshare_sweep bit-identity over generated
 # traces, including predictor write-accounting state) must stay cheap —
 # it guards the sweep engine every experiment run leans on, so a budget
 # blowout here means trace memoization or the batched hot loop regressed.
-SWEEP_BUDGET="${EV8_SWEEP_BUDGET:-120}"
-sweep_start=$(date +%s)
-run cargo test -q --test batched_equivalence --offline
-sweep_elapsed=$(( $(date +%s) - sweep_start ))
-echo "==> batched_equivalence wall-clock: ${sweep_elapsed}s (budget ${SWEEP_BUDGET}s)"
-if [ "$sweep_elapsed" -gt "$SWEEP_BUDGET" ]; then
-    echo "error: batched_equivalence exceeded its ${SWEEP_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+budgeted batched_equivalence EV8_SWEEP_BUDGET 120 -- \
+    run cargo test -q --test batched_equivalence --offline
 
 # Bitsliced/windowed engine smoke, budgeted: the lane-sweep bit-identity
 # properties (transposed and SWAR engines vs serial over arbitrary
@@ -98,31 +99,19 @@ fi
 # These also run inside the full batched_equivalence pass above; the
 # dedicated filter run keeps a budget pinned on the PR-7 engines alone,
 # so a blowout points at the lane/window hot paths and not the suite.
-BITSLICE_BUDGET="${EV8_BITSLICE_BUDGET:-120}"
-bitslice_start=$(date +%s)
-run cargo test -q --test batched_equivalence --offline -- bitsliced windowed
-bitslice_elapsed=$(( $(date +%s) - bitslice_start ))
-echo "==> bitsliced/windowed wall-clock: ${bitslice_elapsed}s (budget ${BITSLICE_BUDGET}s)"
-if [ "$bitslice_elapsed" -gt "$BITSLICE_BUDGET" ]; then
-    echo "error: bitsliced/windowed smoke exceeded its ${BITSLICE_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+budgeted "bitsliced/windowed smoke" EV8_BITSLICE_BUDGET 120 -- \
+    run cargo test -q --test batched_equivalence --offline -- bitsliced windowed
 
 # Cross-generation smoke, budgeted: the TAGE property suite (tagged-table
 # invariants under arbitrary streams, with literal-seed replay) plus one
 # shootout pass at a small scale — bimodal/gshare/2Bc-gskew/TAGE at the
 # EV8 bit budget through the unified predictor trait, the experiment the
 # tage-beats-gshare acceptance gate lives in.
-SHOOTOUT_BUDGET="${EV8_SHOOTOUT_BUDGET:-120}"
-shootout_start=$(date +%s)
-run cargo test -q --test tage_properties --offline
-run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin shootout
-shootout_elapsed=$(( $(date +%s) - shootout_start ))
-echo "==> shootout wall-clock: ${shootout_elapsed}s (budget ${SHOOTOUT_BUDGET}s)"
-if [ "$shootout_elapsed" -gt "$SHOOTOUT_BUDGET" ]; then
-    echo "error: shootout smoke exceeded its ${SHOOTOUT_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+shootout_smoke() {
+    run cargo test -q --test tage_properties --offline
+    run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin shootout
+}
+budgeted "shootout smoke" EV8_SHOOTOUT_BUDGET 120 -- shootout_smoke
 
 # Prediction-service smoke, budgeted: the chaos acceptance suite drives
 # a live Unix-socket server with 16 well-behaved concurrent clients plus
@@ -132,15 +121,8 @@ fi
 # serial simulator, and a clean counter-reconciled drain. The suite
 # finishes in a few seconds; the budget trips on supervision regressions
 # that turn reaping or draining into waiting.
-SERVER_BUDGET="${EV8_SERVER_BUDGET:-120}"
-server_start=$(date +%s)
-run cargo test -q --test server_chaos --offline
-server_elapsed=$(( $(date +%s) - server_start ))
-echo "==> server_chaos wall-clock: ${server_elapsed}s (budget ${SERVER_BUDGET}s)"
-if [ "$server_elapsed" -gt "$SERVER_BUDGET" ]; then
-    echo "error: server_chaos exceeded its ${SERVER_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+budgeted server_chaos EV8_SERVER_BUDGET 120 -- \
+    run cargo test -q --test server_chaos --offline
 
 # Corpus smoke, budgeted: the on-disk container's whole contract — the
 # property roundtrip suite (arbitrary traces across chunk sizes), the
@@ -151,23 +133,18 @@ fi
 # to the in-RAM path, cache tier, server BEGIN_WORKLOAD end-to-end).
 # Then the builder binary round-trips a real store on disk at smoke
 # scale and re-verifies every chunk checksum through the catalog.
-CORPUS_BUDGET="${EV8_CORPUS_BUDGET:-120}"
-corpus_start=$(date +%s)
-run cargo test -q -p ev8-trace --test corpus_roundtrip --offline
-run cargo test -q --test corpus_format --offline
-run cargo test -q --test corpus_corruption --offline
-run cargo test -q --test corpus_pipeline --offline
-corpus_smoke_dir="$PWD/target/corpus-smoke"
-rm -rf "$corpus_smoke_dir"
-run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin corpus -- build "$corpus_smoke_dir"
-run cargo run -q --release --offline -p ev8-bench --bin corpus -- verify "$corpus_smoke_dir"
-rm -rf "$corpus_smoke_dir"
-corpus_elapsed=$(( $(date +%s) - corpus_start ))
-echo "==> corpus wall-clock: ${corpus_elapsed}s (budget ${CORPUS_BUDGET}s)"
-if [ "$corpus_elapsed" -gt "$CORPUS_BUDGET" ]; then
-    echo "error: corpus smoke exceeded its ${CORPUS_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+corpus_smoke() {
+    run cargo test -q -p ev8-trace --test corpus_roundtrip --offline
+    run cargo test -q --test corpus_format --offline
+    run cargo test -q --test corpus_corruption --offline
+    run cargo test -q --test corpus_pipeline --offline
+    local dir="$PWD/target/corpus-smoke"
+    rm -rf "$dir"
+    run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin corpus -- build "$dir"
+    run cargo run -q --release --offline -p ev8-bench --bin corpus -- verify "$dir"
+    rm -rf "$dir"
+}
+budgeted "corpus smoke" EV8_CORPUS_BUDGET 120 -- corpus_smoke
 
 # Sampling smoke, budgeted: the phase-sampling estimator's whole
 # contract — the integration properties (seeded k-means determinism
@@ -176,17 +153,12 @@ fi
 # golden estimate fixture (re-bless intended estimator changes with
 # EV8_BLESS_GOLDEN=1), and one pass of the H2P taxonomy study at smoke
 # scale, which reconciles every per-PC histogram in-process.
-SAMPLING_BUDGET="${EV8_SAMPLING_BUDGET:-120}"
-sampling_start=$(date +%s)
-run cargo test -q --test sampling_properties --offline
-run cargo test -q --test golden_sampling --offline
-run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin h2p
-sampling_elapsed=$(( $(date +%s) - sampling_start ))
-echo "==> sampling wall-clock: ${sampling_elapsed}s (budget ${SAMPLING_BUDGET}s)"
-if [ "$sampling_elapsed" -gt "$SAMPLING_BUDGET" ]; then
-    echo "error: sampling smoke exceeded its ${SAMPLING_BUDGET}s wall-clock budget" >&2
-    exit 1
-fi
+sampling_smoke() {
+    run cargo test -q --test sampling_properties --offline
+    run cargo test -q --test golden_sampling --offline
+    run env EV8_SCALE=0.002 cargo run -q --release --offline -p ev8-bench --bin h2p
+}
+budgeted "sampling smoke" EV8_SAMPLING_BUDGET 120 -- sampling_smoke
 
 # Benches are plain `fn main()` binaries on the in-tree harness: build
 # them all, then smoke-run them at one sample per benchmark

@@ -11,6 +11,7 @@ use ev8_util::{prop_assert, prop_assert_eq};
 
 use ev8_predictors::introspect::FaultTarget;
 use ev8_predictors::observe::ObservedPredictor;
+use ev8_predictors::skew::xor_fold64;
 use ev8_predictors::tage::{Tage, TageConfig};
 use ev8_predictors::BranchPredictor;
 use ev8_trace::{BranchRecord, Outcome, Pc};
@@ -190,6 +191,48 @@ fn useful_counters_move_only_on_provider_alt_disagreement_or_decay() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn table_index_and_tag_equal_the_folded_history_reference() {
+    // Index and tag are defined on the fold of the `L` youngest history
+    // bits: `xor_fold64(history.low_bits(L), w)` for the index width, the
+    // tag width and the tag width - 1. Checked after every step on the
+    // EV8-budget geometry and on one with a 1-bit fold (2-bit tags) and
+    // a full 64-bit longest history.
+    let configs = [
+        TageConfig::ev8_budget(),
+        TageConfig::geometric(4, 6, 5, 2, 1, 64),
+    ];
+    for config in configs {
+        let name = format!("folded_history_reference[{:?}]", config.tables);
+        check(&name, CASES, |g| {
+            let mut p = Tage::new(config.clone());
+            let stream = arb_stream(g, 50..400);
+            for (step, &(pc, outcome)) in stream.iter().enumerate() {
+                for (j, t) in config.tables.iter().enumerate() {
+                    let h = p.history().low_bits(t.history_length);
+                    let index_mask = (1u64 << t.index_bits) - 1;
+                    let index =
+                        (pc.bits(2, t.index_bits) ^ xor_fold64(h, t.index_bits)) & index_mask;
+                    let got = p.table_index(j, pc);
+                    prop_assert!(
+                        got == index as usize,
+                        "step {step} t{j}: index {got} != {index}"
+                    );
+                    let tag_mask = (1u64 << t.tag_bits) - 1;
+                    let tag = (pc.bits(2, t.tag_bits)
+                        ^ xor_fold64(h, t.tag_bits)
+                        ^ (xor_fold64(h, t.tag_bits - 1) << 1))
+                        & tag_mask;
+                    let got = p.table_tag(j, pc);
+                    prop_assert!(got == tag as u16, "step {step} t{j}: tag {got} != {tag}");
+                }
+                p.update(pc, outcome);
+            }
+            Ok(())
+        });
+    }
 }
 
 #[test]

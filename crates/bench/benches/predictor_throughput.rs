@@ -4,6 +4,7 @@
 
 use ev8_util::bench::Harness;
 
+use ev8_core::Ev8Predictor;
 use ev8_predictors::agree::Agree;
 use ev8_predictors::bimodal::Bimodal;
 use ev8_predictors::bimode::Bimode;
@@ -12,6 +13,7 @@ use ev8_predictors::gselect::Gselect;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::local::LocalPredictor;
 use ev8_predictors::perceptron::Perceptron;
+use ev8_predictors::tage::{Tage, TageConfig};
 use ev8_predictors::tournament::Tournament;
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
 use ev8_predictors::yags::Yags;
@@ -42,6 +44,16 @@ fn predictors() -> Vec<(&'static str, Make)> {
         (
             "2bcgskew-512k",
             Box::new(|| Box::new(TwoBcGskew::new(TwoBcGskewConfig::size_512k()))),
+        ),
+        // The paper's predictors at the EV8's 352 Kbit budget.
+        ("ev8", Box::new(|| Box::new(Ev8Predictor::ev8()))),
+        (
+            "2bcgskew-352k",
+            Box::new(|| Box::new(TwoBcGskew::new(TwoBcGskewConfig::ev8_size()))),
+        ),
+        (
+            "tage-352k",
+            Box::new(|| Box::new(Tage::new(TageConfig::ev8_budget()))),
         ),
         ("bimode", Box::new(|| Box::new(Bimode::paper_544k()))),
         ("yags-288k", Box::new(|| Box::new(Yags::paper_288k()))),

@@ -15,8 +15,6 @@
 //! fetch blocks, whose *path information* the EV8 mixes into the index to
 //! recover most of the delayed-history loss (§5.2).
 
-use std::collections::VecDeque;
-
 use ev8_trace::{Outcome, Pc};
 
 use crate::config::HISTORY_DELAY_BLOCKS;
@@ -53,12 +51,13 @@ pub struct DelayedLghist {
     /// Committed (visible) history; bit 0 = most recent *visible* block.
     committed: u64,
     length: u32,
-    /// One pending entry per in-flight fetch block (None when the block
-    /// had no conditional branch and thus inserts no bit).
-    pending: VecDeque<Option<u64>>,
+    /// The delay line: one entry per in-flight fetch block, newest first
+    /// (None when the block had no conditional branch and thus inserts no
+    /// bit, and for slots no block has reached yet).
+    pending: [Option<u64>; HISTORY_DELAY_BLOCKS],
     /// Addresses of the most recent `HISTORY_DELAY_BLOCKS` fetch blocks,
-    /// newest first.
-    recent_addresses: VecDeque<Pc>,
+    /// newest first; None past the blocks seen so far.
+    recent_addresses: [Option<Pc>; HISTORY_DELAY_BLOCKS],
     path_bit: bool,
     delayed: bool,
 }
@@ -80,8 +79,8 @@ impl DelayedLghist {
         DelayedLghist {
             committed: 0,
             length,
-            pending: VecDeque::with_capacity(HISTORY_DELAY_BLOCKS + 1),
-            recent_addresses: VecDeque::with_capacity(HISTORY_DELAY_BLOCKS + 1),
+            pending: [None; HISTORY_DELAY_BLOCKS],
+            recent_addresses: [None; HISTORY_DELAY_BLOCKS],
             path_bit,
             delayed,
         }
@@ -103,16 +102,13 @@ impl DelayedLghist {
     /// Records a completed fetch block.
     pub fn push_block(&mut self, summary: BlockSummary) {
         let bit = self.bit_for(&summary);
-        self.recent_addresses.push_front(summary.address);
-        self.recent_addresses.truncate(HISTORY_DELAY_BLOCKS);
-        if self.delayed {
-            self.pending.push_back(bit);
-            while self.pending.len() > HISTORY_DELAY_BLOCKS {
-                if let Some(Some(b)) = self.pending.pop_front() {
-                    self.commit_bit(b);
-                }
-            }
-        } else if let Some(b) = bit {
+        shift_in(&mut self.recent_addresses, Some(summary.address));
+        let visible = if self.delayed {
+            shift_in(&mut self.pending, bit)
+        } else {
+            bit
+        };
+        if let Some(b) = visible {
             self.commit_bit(b);
         }
     }
@@ -143,21 +139,31 @@ impl DelayedLghist {
     /// The address of the previous fetch block (`Z` in §7's notation), if
     /// any block has completed yet.
     pub fn z_address(&self) -> Option<Pc> {
-        self.recent_addresses.front().copied()
+        self.recent_addresses[0]
     }
 
     /// Addresses of the last three fetch blocks, newest first (`Z`, `Y`,
     /// and the one before).
     pub fn recent_addresses(&self) -> impl Iterator<Item = Pc> + '_ {
-        self.recent_addresses.iter().copied()
+        self.recent_addresses.iter().map_while(|&a| a)
     }
 
     /// Resets all state (pipeline flush / thread start).
     pub fn clear(&mut self) {
         self.committed = 0;
-        self.pending.clear();
-        self.recent_addresses.clear();
+        self.pending = [None; HISTORY_DELAY_BLOCKS];
+        self.recent_addresses = [None; HISTORY_DELAY_BLOCKS];
     }
+}
+
+/// Shifts `entry` in at the front of a newest-first window and returns
+/// the entry that falls off the back.
+#[inline]
+fn shift_in<T: Copy>(window: &mut [T; HISTORY_DELAY_BLOCKS], entry: T) -> T {
+    let oldest = window[HISTORY_DELAY_BLOCKS - 1];
+    window.copy_within(..HISTORY_DELAY_BLOCKS - 1, 1);
+    window[0] = entry;
+    oldest
 }
 
 #[cfg(test)]

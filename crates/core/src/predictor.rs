@@ -24,7 +24,7 @@ use ev8_predictors::counter::Counter2;
 use ev8_predictors::history::GlobalHistory;
 use ev8_predictors::introspect::{ArrayInfo, FaultTarget};
 use ev8_predictors::provenance::Provenance;
-use ev8_predictors::skew::xor_fold;
+use ev8_predictors::skew::xor_fold64;
 use ev8_predictors::twobcgskew::{GskewTables, Indices, PredictionDetail, UpdatePolicy};
 use ev8_predictors::BranchPredictor;
 use ev8_trace::{BranchRecord, Outcome, Pc};
@@ -140,8 +140,8 @@ impl FrontEnd {
                 );
                 if patched {
                     // Every hashed index also folds in the path hash.
-                    let patch = self.path_hash() as u128;
-                    let fold = |k: usize| xor_fold(patch, tables[k].index_bits) as usize;
+                    let patch = self.path_hash();
+                    let fold = |k: usize| xor_fold64(patch, tables[k].index_bits) as usize;
                     if tables[0].history_length != 0 {
                         idx.bim ^= fold(0);
                     }

@@ -50,7 +50,6 @@ use crate::history::GlobalHistory;
 use crate::introspect::{ArrayClass, ArrayInfo, FaultTarget};
 use crate::predictor::BranchPredictor;
 use crate::provenance::{Provenance, UpdateAction};
-use crate::skew::xor_fold64;
 use crate::twobcgskew::ChosenComponent;
 
 /// The 4-bit newly-allocated chooser (`use_alt_on_na`).
@@ -189,7 +188,44 @@ impl TageConfig {
     }
 }
 
-/// One tagged bank's state: parallel counter/tag/useful arrays.
+/// The `length` youngest history bits XOR-folded to `width` bits, kept
+/// as a circular-shift register (as in Seznec's TAGE code): each push
+/// costs a few operations instead of a re-fold of the whole history.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct FoldedHistory {
+    /// Always `xor_fold64(history.low_bits(length), width)`.
+    value: u64,
+    width: u32,
+    /// `(length - 1) mod width`: where the bit leaving the window sits.
+    leaving_at: u32,
+    mask: u64,
+}
+
+impl FoldedHistory {
+    fn new(length: u32, width: u32) -> Self {
+        assert!((1..=64).contains(&width), "fold width must be 1..=64");
+        FoldedHistory {
+            value: 0,
+            width,
+            leaving_at: (length - 1) % width,
+            mask: u64::MAX >> (64 - width),
+        }
+    }
+
+    /// Follows one history push: `leaving` is the bit at position
+    /// `length - 1` before the push, `new` the bit pushed in. Every bit
+    /// `i` of the window folds onto position `i mod width`, so the push
+    /// moves each one up a position, rotating within `width`.
+    #[inline]
+    fn push(&mut self, leaving: u64, new: u64) {
+        let v = self.value ^ (leaving << self.leaving_at);
+        let rotated = ((v << 1) | (v >> (self.width - 1))) & self.mask;
+        self.value = rotated ^ new;
+    }
+}
+
+/// One tagged bank's state: parallel counter/tag/useful arrays and the
+/// history folds its index and tag are built from.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct TaggedBank {
     ctr: Vec<Counter3>,
@@ -198,11 +234,15 @@ struct TaggedBank {
     index_bits: u32,
     tag_bits: u32,
     history_length: u32,
+    /// The history folded to the index width, the tag width and the tag
+    /// width - 1.
+    folds: [FoldedHistory; 3],
 }
 
 impl TaggedBank {
     fn new(config: TaggedTableConfig) -> Self {
         let entries = 1usize << config.index_bits;
+        let fold = |width| FoldedHistory::new(config.history_length, width);
         TaggedBank {
             ctr: vec![Counter3::weakly_not_taken(); entries],
             tag: vec![0; entries],
@@ -210,6 +250,21 @@ impl TaggedBank {
             index_bits: config.index_bits,
             tag_bits: config.tag_bits,
             history_length: config.history_length,
+            folds: [
+                fold(config.index_bits),
+                fold(config.tag_bits),
+                fold(config.tag_bits - 1),
+            ],
+        }
+    }
+
+    /// Follows a push of `new` onto the global history `bits` (read
+    /// before the push).
+    #[inline]
+    fn push_history(&mut self, bits: u64, new: u64) {
+        let leaving = (bits >> (self.history_length - 1)) & 1;
+        for fold in &mut self.folds {
+            fold.push(leaving, new);
         }
     }
 }
@@ -368,8 +423,7 @@ impl Tage {
     #[inline]
     pub fn table_index(&self, j: usize, pc: Pc) -> usize {
         let t = &self.tables[j];
-        let folded = xor_fold64(self.history.low_bits(t.history_length), t.index_bits);
-        ((pc.bits(2, t.index_bits) ^ folded) & ((1u64 << t.index_bits) - 1)) as usize
+        (pc.bits(2, t.index_bits) ^ t.folds[0].value) as usize
     }
 
     /// The partial tag of `pc` in tagged table `j` under the current
@@ -379,12 +433,8 @@ impl Tage {
     #[inline]
     pub fn table_tag(&self, j: usize, pc: Pc) -> u16 {
         let t = &self.tables[j];
-        let h = self.history.low_bits(t.history_length);
-        let mask = (1u64 << t.tag_bits) - 1;
-        let v = pc.bits(2, t.tag_bits)
-            ^ xor_fold64(h, t.tag_bits)
-            ^ (xor_fold64(h, t.tag_bits - 1) << 1);
-        (v & mask) as u16
+        let v = pc.bits(2, t.tag_bits) ^ t.folds[1].value ^ (t.folds[2].value << 1);
+        (v & t.folds[1].mask) as u16
     }
 
     /// The full lookup decision under the current history, with no state
@@ -562,6 +612,10 @@ impl Tage {
         }
 
         // 7. Speculative history update (immediate, §8.1.1 methodology).
+        let bits = self.history.bits();
+        for bank in &mut self.tables {
+            bank.push_history(bits, outcome.as_bit());
+        }
         self.history.push(outcome);
 
         let action = if mispredicted {

@@ -15,7 +15,7 @@
 //! between the paper's partial update policy and a naive total update
 //! policy (for the ablation benches).
 
-use ev8_trace::{Outcome, Pc};
+use ev8_trace::{BranchRecord, Outcome, Pc};
 
 use crate::counter::Counter2;
 use crate::egskew::majority;
@@ -608,6 +608,36 @@ impl TwoBcGskew {
         Indices::complete_hash(pc, self.history.bits(), &self.config.tables())
     }
 
+    /// Predicts and updates one conditional branch from a single index
+    /// computation, returning the prediction made before the update.
+    #[inline]
+    fn step(&mut self, pc: Pc, outcome: Outcome) -> Outcome {
+        let idx = self.indices(pc);
+        let prediction = if self.config.commit_window == 0 {
+            // Immediate update — the paper's simulation methodology. The
+            // update's read is the prediction.
+            let (d, ..) = self.tables.update(idx, self.config.update_policy, outcome);
+            d.overall
+        } else {
+            // Commit-time update: the indices were computed under the
+            // speculative (prediction-time) history; the counter write
+            // happens `commit_window` branches later, re-reading the
+            // tables as the hardware's commit-time hysteresis read does.
+            let prediction = self.tables.read(idx).overall;
+            self.pending.push_back((idx, outcome));
+            if self.pending.len() > self.config.commit_window {
+                let (cidx, coutcome) = self.pending.pop_front().expect("non-empty");
+                self.tables
+                    .update(cidx, self.config.update_policy, coutcome);
+            }
+            prediction
+        };
+        // History is updated speculatively at prediction time on the real
+        // EV8 (correct-path traces make the speculative value exact).
+        self.history.push(outcome);
+        prediction
+    }
+
     /// Computes the full per-component prediction detail for `pc` under
     /// the current history.
     pub fn predict_detail(&self, pc: Pc) -> PredictionDetail {
@@ -671,25 +701,19 @@ impl BranchPredictor for TwoBcGskew {
     }
 
     fn update(&mut self, pc: Pc, outcome: Outcome) {
-        let idx = self.indices(pc);
-        if self.config.commit_window == 0 {
-            // Immediate update — the paper's simulation methodology.
-            self.tables.update(idx, self.config.update_policy, outcome);
-        } else {
-            // Commit-time update: the indices were computed under the
-            // speculative (prediction-time) history; the counter write
-            // happens `commit_window` branches later, re-reading the
-            // tables as the hardware's commit-time hysteresis read does.
-            self.pending.push_back((idx, outcome));
-            if self.pending.len() > self.config.commit_window {
-                let (cidx, coutcome) = self.pending.pop_front().expect("non-empty");
-                self.tables
-                    .update(cidx, self.config.update_policy, coutcome);
-            }
-        }
-        // History is updated speculatively at prediction time on the real
-        // EV8 (correct-path traces make the speculative value exact).
-        self.history.push(outcome);
+        self.step(pc, outcome);
+    }
+
+    /// One index computation per branch; bit-identical to `predict` +
+    /// `update`, whose indices both come from the history before the
+    /// push.
+    #[inline]
+    fn predict_and_update(&mut self, record: &BranchRecord) -> Option<Outcome> {
+        // Non-conditional records carry nothing 2Bc-gskew tracks.
+        record
+            .kind
+            .is_conditional()
+            .then(|| self.step(record.pc, record.outcome))
     }
 
     fn name(&self) -> String {

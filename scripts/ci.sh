@@ -160,6 +160,29 @@ sampling_smoke() {
 }
 budgeted "sampling smoke" EV8_SAMPLING_BUDGET 120 -- sampling_smoke
 
+# Benchmark reference smoke, budgeted: the built benchmark binary runs
+# the paper's predictors (suite_paper_ram) and the phase sampler
+# (suite_sampled) at the default seed, whose results it checks against
+# the stored references in benchsuite/references/seed-0.txt. The
+# self-tests above compute their references with the same predictor
+# code at a tiny scale, so only this step catches a predictor change
+# that moves a misprediction count. Each run's last line must report
+# "correct": true.
+bench_reference_smoke() {
+    run cargo build --release --offline --quiet --manifest-path benchsuite/Cargo.toml
+    local w last
+    for w in suite_paper_ram suite_sampled; do
+        last=$(benchsuite/target/release/ev8-benchsuite \
+            --workload "$w" --seed 0 --seconds 1 --trace 0 | tail -n 1)
+        echo "$last"
+        case "$last" in
+            *'"correct": true'*) ;;
+            *) echo "error: $w does not match the stored references" >&2; exit 1 ;;
+        esac
+    done
+}
+budgeted "bench reference smoke" EV8_BENCH_REF_BUDGET 120 -- bench_reference_smoke
+
 # Benches are plain `fn main()` binaries on the in-tree harness: build
 # them all, then smoke-run them at one sample per benchmark
 # (EV8_BENCH_SAMPLES overrides per-group sample sizes, so this stays

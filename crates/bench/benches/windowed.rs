@@ -1,26 +1,16 @@
-//! Benches for the two PR-7 engines, recorded into the shared
-//! `BENCH_sim.json`:
-//!
-//! * **`sweep_bitsliced/<bench>`** — the Fig 6/7-shaped 8-config gshare
-//!   history sweep, three ways: 8 serial `simulate` passes over the AoS
-//!   trace, one transposed-stream pass (`simulate_gshare_sweep`, the
-//!   engine the sweep front door routes to), and one SWAR lane pass
-//!   (`simulate_gshare_sweep_bitsliced`, 32 configurations stepped per
-//!   `u64` word over packed counter storage). All three are asserted
-//!   bit-identical before anything is timed; the recorded
-//!   `transposed_speedup` is the sweep-engine acceptance number.
-//! * **`windowed/<bench>`** — one trace, one predictor, split into
-//!   warmup-prefixed windows over `run_parallel_with` and spliced
-//!   (`simulate_windowed`). The entry records realized branches/sec —
-//!   the single-trace throughput acceptance number — *next to* the
-//!   signed misprediction delta vs the serial run and the exact
-//!   geometry, so the speed/accuracy trade is auditable from the JSON
-//!   alone. A full-warmup splice is asserted bit-identical to serial
-//!   before timing; the recorded run uses a bounded warmup.
+//! The windowed single-trace bench, recorded into the shared
+//! `BENCH_sim.json` as **`windowed/<bench>`**: one trace, one predictor,
+//! split into warmup-prefixed windows over `run_parallel_with` and
+//! spliced (`simulate_windowed`). The entry records realized
+//! branches/sec — the single-trace throughput acceptance number —
+//! *next to* the signed misprediction delta vs the serial run and the
+//! exact geometry, so the speed/accuracy trade is auditable from the
+//! JSON alone. A full-warmup splice is asserted bit-identical to serial
+//! before timing; the recorded run uses a bounded warmup.
 //!
 //! Sampling follows the `sweep_batched` scheme (see its module doc for
-//! the host-noise rationale): every sample interleaves one run of every
-//! series and each ratio is the median of per-sample ratios.
+//! the host-noise rationale): every sample interleaves one run of both
+//! series and the ratio is the median of per-sample ratios.
 //! `EV8_BENCH_SAMPLES` and `EV8_SWEEP_SCALE` override the sample count
 //! and trace scale (CI smoke sets 1 and 0.02).
 
@@ -31,17 +21,12 @@ use ev8_util::json::JsonObject;
 
 use ev8_predictors::gshare::Gshare;
 use ev8_sim::sweep::{default_workers, RunPolicy};
-use ev8_sim::{
-    simulate, simulate_flat, simulate_gshare_sweep, simulate_gshare_sweep_bitsliced,
-    simulate_windowed, WindowPlan,
-};
+use ev8_sim::{simulate_flat, simulate_windowed, WindowPlan};
 use ev8_workloads::spec95;
 
 const DEFAULT_SWEEP_SCALE: f64 = 0.2;
 const DEFAULT_SAMPLES: usize = 7;
 
-/// Same sweep axis as `sweep_batched`: one geometry, eight histories.
-const HISTORIES: [u32; 8] = [0, 2, 4, 6, 8, 10, 12, 14];
 const INDEX_BITS: u32 = 16;
 
 /// Windowed-run geometry: ~half-million-record windows with a 64K-record
@@ -73,12 +58,9 @@ fn median_of(mut values: Vec<f64>) -> f64 {
     values[values.len() / 2]
 }
 
-const SERIES: usize = 5;
-const SERIAL_SWEEP: usize = 0;
-const TRANSPOSED_SWEEP: usize = 1;
-const BITSLICED_SWEEP: usize = 2;
-const SERIAL_SINGLE: usize = 3;
-const WINDOWED_SINGLE: usize = 4;
+const SERIES: usize = 2;
+const SERIAL_SINGLE: usize = 0;
+const WINDOWED_SINGLE: usize = 1;
 
 fn median_ns(samples: &[[Duration; SERIES]], series: usize) -> u64 {
     median_of(
@@ -112,29 +94,18 @@ fn main() {
 
     for name in BENCHMARKS {
         if let Some(f) = &filter {
-            if !format!("sweep_bitsliced_{name}").contains(f.as_str()) {
+            if !format!("windowed_{name}").contains(f.as_str()) {
                 continue;
             }
         }
-        let trace = spec95::cached(name, scale).expect("known benchmark");
         let flat = spec95::cached_flat(name, scale).expect("known benchmark");
         let plan = WindowPlan::new(WINDOW_LEN, WARMUP_LEN.min(flat.len().saturating_sub(1)));
 
-        // Equivalence before timing (also warms every path): the three
-        // sweep engines must agree bit-for-bit, and the windowed splice
-        // must be bit-identical to serial when warmup covers the whole
-        // prefix.
+        // Equivalence before timing (also warms both paths): the
+        // windowed splice must be bit-identical to serial when warmup
+        // covers the whole prefix.
         let serial_misp: u64;
         {
-            let serial: Vec<_> = HISTORIES
-                .iter()
-                .map(|&h| simulate(Gshare::new(INDEX_BITS, h), &trace))
-                .collect();
-            let transposed = simulate_gshare_sweep(INDEX_BITS, &HISTORIES, &flat);
-            assert_eq!(transposed, serial, "{name}: transposed sweep diverged");
-            let sliced = simulate_gshare_sweep_bitsliced(INDEX_BITS, &HISTORIES, &flat);
-            assert_eq!(sliced, serial, "{name}: bitsliced lane sweep diverged");
-
             let serial_single = simulate_flat(single(), &flat);
             serial_misp = serial_single.mispredictions;
             let exact = WindowPlan::new(WINDOW_LEN, flat.len());
@@ -150,14 +121,6 @@ fn main() {
         for _ in 0..samples_per_series {
             let mut wm = 0u64;
             samples.push([
-                time(|| {
-                    HISTORIES
-                        .iter()
-                        .map(|&h| simulate(Gshare::new(INDEX_BITS, h), &trace))
-                        .collect::<Vec<_>>()
-                }),
-                time(|| simulate_gshare_sweep(INDEX_BITS, &HISTORIES, &flat)),
-                time(|| simulate_gshare_sweep_bitsliced(INDEX_BITS, &HISTORIES, &flat)),
                 time(|| simulate_flat(single(), &flat)),
                 time(|| {
                     let run = simulate_windowed(single, &flat, plan, workers, &policy);
@@ -169,21 +132,10 @@ fn main() {
         }
 
         let branches = flat.conditional_count() as f64;
-        let configs = HISTORIES.len() as f64;
-        let transposed_speedup = paired_ratio(&samples, SERIAL_SWEEP, TRANSPOSED_SWEEP);
-        let bitsliced_speedup = paired_ratio(&samples, SERIAL_SWEEP, BITSLICED_SWEEP);
         let windowed_ns = median_ns(&samples, WINDOWED_SINGLE);
         let windowed_branches_per_sec =
             branches / Duration::from_nanos(windowed_ns.max(1)).as_secs_f64();
         let misp_delta = windowed_misp as i64 - serial_misp as i64;
-        println!(
-            "sweep_bitsliced_{name}: serial {:.1}ms  transposed {:.1}ms ({:.2}ns/b/c, {transposed_speedup:.2}x)  \
-             bitsliced {:.1}ms ({bitsliced_speedup:.2}x)",
-            median_ns(&samples, SERIAL_SWEEP) as f64 / 1e6,
-            median_ns(&samples, TRANSPOSED_SWEEP) as f64 / 1e6,
-            median_ns(&samples, TRANSPOSED_SWEEP) as f64 / branches / configs,
-            median_ns(&samples, BITSLICED_SWEEP) as f64 / 1e6,
-        );
         println!(
             "windowed_{name}: {:.1}M branches/sec ({} windows of {} + {} warmup, {workers} workers)  \
              misp delta {misp_delta:+} of {serial_misp} ({:.4}%)",
@@ -193,27 +145,6 @@ fn main() {
             plan.warmup_len,
             100.0 * misp_delta as f64 / serial_misp.max(1) as f64,
         );
-
-        let mut sweep = JsonObject::new();
-        sweep
-            .field("benchmark", &name)
-            .field("scale", &scale)
-            .field("configs", &(HISTORIES.len() as u64))
-            .field("conditional_branches", &flat.conditional_count())
-            .field("samples", &(samples.len() as u64))
-            .field("serial_sweep_ns", &median_ns(&samples, SERIAL_SWEEP))
-            .field(
-                "transposed_sweep_ns",
-                &median_ns(&samples, TRANSPOSED_SWEEP),
-            )
-            .field("transposed_speedup", &transposed_speedup)
-            .field("bitsliced_sweep_ns", &median_ns(&samples, BITSLICED_SWEEP))
-            .field("bitsliced_speedup", &bitsliced_speedup)
-            .field(
-                "transposed_ns_per_branch_config",
-                &(median_ns(&samples, TRANSPOSED_SWEEP) as f64 / branches / configs),
-            );
-        entries.push((format!("sweep_bitsliced/{name}"), sweep.finish()));
 
         let mut windowed = JsonObject::new();
         windowed
@@ -244,10 +175,7 @@ fn main() {
     }
 
     match ev8_bench::merge_bench_json(&entries) {
-        Ok(path) => println!(
-            "merged {} bitsliced/windowed entries into {path}",
-            entries.len()
-        ),
+        Ok(path) => println!("merged {} windowed entries into {path}", entries.len()),
         Err(e) => eprintln!("could not write bench json: {e}"),
     }
 }

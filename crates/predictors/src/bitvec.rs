@@ -321,36 +321,6 @@ impl Counter2Table {
         Outcome::from(cur >= 2)
     }
 
-    /// Advances all 32 2-bit counters of a packed word toward one shared
-    /// `taken` outcome in a single branch-free SWAR step, returning
-    /// `(predictions, next)`: bit `2k` of `predictions` is lane `k`'s
-    /// *pre*-update prediction (1 = taken) and `next` is the updated word.
-    ///
-    /// This is the bitsliced form of 32 [`step_packed`](Self::step_packed)
-    /// calls sharing one outcome — the sweep engine's lane kernel, where
-    /// lane `k` holds configuration `k`'s counter for the current branch.
-    /// Writing the counter as prediction bit `p` (high) and hysteresis
-    /// bit `h` (low), the saturating ±1 step is pure bit logic:
-    ///
-    /// * taken:     `p' = p | h`, `h' = p | !h`
-    /// * not taken: `p' = p & h`, `h' = p & !h`
-    ///
-    /// (check against the 00→01→10→11 chain in both directions), so one
-    /// mask select between the two gives every lane's next state at once.
-    #[inline]
-    pub fn step_lanes(lanes: u64, taken: bool) -> (u64, u64) {
-        const LO: u64 = WEAKLY_NOT_TAKEN_FILL; // every lane's low bit
-        let p = (lanes >> 1) & LO;
-        let h = lanes & LO;
-        let nh = h ^ LO;
-        let m = (taken as u64).wrapping_neg() & LO;
-        // m selects per lane between the taken and not-taken columns:
-        // x|y = (x&y) | (x^y), so OR when m is set, AND when clear.
-        let pn = (p & h) | (m & (p ^ h));
-        let hn = (p & nh) | (m & (p ^ nh));
-        (p, (pn << 1) | hn)
-    }
-
     /// Strengthens the counter at `index` in its current direction
     /// (same single-word RMW as [`Counter2Table::train`]).
     #[inline]
@@ -551,35 +521,6 @@ mod tests {
         }
         for i in 0..32 {
             assert_eq!((word >> (i * 2)) & 0b11, reference.get(i).value() as u64);
-        }
-    }
-
-    #[test]
-    fn step_lanes_is_32_step_packed_calls_sharing_one_outcome() {
-        // The SWAR lane step must match 32 per-lane step_packed calls
-        // exactly — same predictions, same next word — from every
-        // reachable and unreachable lane state mixture.
-        let mut lanes = WEAKLY_NOT_TAKEN_FILL;
-        let mut x = 0xB17_511CEu64;
-        for _ in 0..2000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            // Occasionally teleport to an arbitrary word so all 4^32
-            // state mixtures are sampled, not just reachable ones.
-            if (x >> 58) == 0 {
-                lanes = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            }
-            let taken = x >> 63 != 0;
-            let outcome = Outcome::from(taken);
-            let mut reference = lanes;
-            let mut expected_preds = 0u64;
-            for lane in 0..32u32 {
-                let p = Counter2Table::step_packed(&mut reference, lane, outcome);
-                expected_preds |= u64::from(p.is_taken()) << (lane * 2);
-            }
-            let (preds, next) = Counter2Table::step_lanes(lanes, taken);
-            assert_eq!(preds, expected_preds, "predictions for word {lanes:#x}");
-            assert_eq!(next, reference, "next state for word {lanes:#x}");
-            lanes = next;
         }
     }
 

@@ -46,11 +46,12 @@
 //! assert_eq!(results[0].conditional_branches, 100);
 //! ```
 
-use ev8_predictors::bitvec::{Counter2Table, WEAKLY_NOT_TAKEN_FILL};
+use ev8_predictors::bitvec::WEAKLY_NOT_TAKEN_FILL;
 use ev8_predictors::gshare::Gshare;
 use ev8_predictors::BranchPredictor;
 use ev8_trace::FlatTrace;
 
+use crate::kernel::{run, Tally};
 use crate::metrics::SimResult;
 
 /// Runs one predictor over a [`FlatTrace`] with immediate update —
@@ -60,18 +61,7 @@ use crate::metrics::SimResult;
 /// The `sim_hot_loop` bench records the flat-vs-AoS single-config
 /// speedup under the `sweep_batched` group.
 pub fn simulate_flat<P: BranchPredictor>(mut predictor: P, trace: &FlatTrace) -> SimResult {
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    trace.for_each(|record| {
-        if let Some(prediction) = predictor.predict_and_update(record) {
-            result.conditional_branches += 1;
-            result.mispredictions += u64::from(prediction != record.outcome);
-        }
-    });
+    let Ok(result) = run(trace, &mut predictor, &mut ());
     result
 }
 
@@ -85,43 +75,29 @@ pub fn simulate_flat<P: BranchPredictor>(mut predictor: P, trace: &FlatTrace) ->
 /// `&mut [Box<dyn BranchPredictor>]` for heterogeneous sweeps or
 /// `&mut [concrete]` for homogeneous ones.
 ///
-/// All per-result allocations (trace name, predictor names) happen
-/// before the hot loop; the loop itself touches only the packed trace
-/// columns, the predictor state, and two flat counter arrays.
+/// Each configuration takes one kernel [`Tally::step`] per record. The
+/// tallies live apart from the string-bearing results so the loop never
+/// touches the heap-allocated name fields; the config loop zips
+/// predictors with their tallies (no index arithmetic, no bounds
+/// checks), and the K predictor bodies carry no data dependencies
+/// between each other.
 pub fn simulate_many<P: BranchPredictor>(
     predictors: &mut [P],
     trace: &FlatTrace,
 ) -> Vec<SimResult> {
-    let k = predictors.len();
-    let mut results: Vec<SimResult> = predictors
-        .iter()
-        .map(|p| SimResult {
-            trace: trace.name().to_owned(),
-            predictor: p.name(),
-            instructions: trace.instruction_count(),
-            ..SimResult::default()
-        })
-        .collect();
-    // Hot counters live apart from the string-bearing results so the
-    // loop never touches the heap-allocated name fields. The config
-    // loop zips predictors with their counters (no index arithmetic, no
-    // bounds checks), the K predictor bodies carry no data dependencies
-    // between each other, and the misprediction tally is branchless.
-    let mut counts = vec![(0u64, 0u64); k];
+    let mut tallies = vec![Tally::default(); predictors.len()];
     trace.for_each(|record| {
-        for (predictor, (conditional, mispredicted)) in predictors.iter_mut().zip(counts.iter_mut())
-        {
-            if let Some(prediction) = predictor.predict_and_update(record) {
-                *conditional += 1;
-                *mispredicted += u64::from(prediction != record.outcome);
-            }
+        for (predictor, tally) in predictors.iter_mut().zip(tallies.iter_mut()) {
+            tally.step(predictor, record, &mut ());
         }
     });
-    for (result, (conditional, mispredicted)) in results.iter_mut().zip(counts) {
-        result.conditional_branches = conditional;
-        result.mispredictions = mispredicted;
-    }
-    results
+    predictors
+        .iter()
+        .zip(tallies)
+        .map(|(p, tally)| {
+            tally.into_result(trace.name().to_owned(), p.name(), trace.instruction_count())
+        })
+        .collect()
 }
 
 /// Runs a gshare history-length sweep — the Fig 6/7 sweep axis: one
@@ -137,32 +113,26 @@ pub fn simulate_many<P: BranchPredictor>(
 /// sweep must re-maintain that register once per configuration, and
 /// must re-decode every record (kind dispatch, gap/PC unpacking) once
 /// per configuration; this path pays for decode exactly once, up front,
-/// by projecting the conditional records into a dense one-u32-per-branch
-/// stream, then keeps one shared register plus one shared PC index
-/// field per branch and leaves only three operations per
-/// configuration per branch — mask, fold-XOR into the index, and the
-/// counter read-modify-write (with a branchless misprediction
-/// increment; the conditional-branch count is config-invariant and
-/// comes from the trace itself). For history lengths at most
-/// `2 * index_bits` (every sweep in the paper's figures) the XOR fold
-/// reduces to the branchless two-chunk form `(h & m) ^ (h >> index_bits)`;
-/// longer histories fall back to the general engine
-/// ([`simulate_many`]), which handles any configuration mix.
+/// by projecting the conditional records into a dense one-u64-per-branch
+/// stream that carries the shared register's snapshot and the PC index
+/// field, and leaves only three operations per configuration per
+/// branch — mask, fold-XOR into the index, and the counter
+/// read-modify-write (with a branchless misprediction increment; the
+/// conditional-branch count is config-invariant and comes from the
+/// trace itself). For history lengths at most `2 * index_bits` (every
+/// sweep in the paper's figures) the XOR fold reduces to the branchless
+/// two-chunk form `(h & m) ^ (h >> index_bits)`.
 ///
-/// Two data-parallel engines sit behind this front door, picked by the
-/// history range:
-///
-/// * histories all ≤ 32 bits (every paper sweep): the **transposed
-///   blocked engine** — the branch stream carries its own rolling
-///   history snapshot, so configurations decouple completely and each
-///   one runs as its *own* tight pass over a block of branches while the
-///   block is cache-hot. One configuration's pass touches exactly one
-///   `2^index_bits`-counter table (L1-resident) plus a sequential
-///   stream read; there is no per-branch configuration dispatch at all.
-/// * some history in `(32, 2 * index_bits]`: the bitsliced lane engine
-///   ([`simulate_gshare_sweep_bitsliced`]), which keeps a shared `u64`
-///   rolling register and steps every configuration's counter as a
-///   2-bit lane of one SWAR word per branch.
+/// The engine is **transposed and blocked**: the branch stream carries
+/// its own rolling 32-bit history snapshot, so configurations decouple
+/// completely and each one runs as its *own* tight pass over a block of
+/// branches while the block is cache-hot. One configuration's pass
+/// touches exactly one `2^index_bits`-counter table (L1-resident) plus a
+/// sequential stream read; there is no per-branch configuration
+/// dispatch at all. Sweeps with a history longer than 32 bits or than
+/// `2 * index_bits` (no experiment or benchmark workload runs one) go to
+/// the general engine, [`simulate_many`], which handles any
+/// configuration mix.
 ///
 /// # Why this is bit-identical to serial
 ///
@@ -176,10 +146,12 @@ pub fn simulate_many<P: BranchPredictor>(
 ///   history and only touches history on conditional records — mirrored
 ///   exactly here, and pinned by the unit tests below plus the
 ///   workspace equivalence suite.
-/// * Configurations never exchange state, so reordering the (branch,
-///   config) iteration grid — per-config passes in the transposed
-///   engine, per-branch lane steps in the bitsliced one — performs the
-///   identical transition sequence per configuration.
+/// * Configurations never exchange state, so running the (branch,
+///   config) grid config-major performs the identical transition
+///   sequence per configuration.
+///
+/// Results are named to match [`Gshare::name`] without building a table
+/// per configuration just to ask (pinned by the equivalence tests).
 ///
 /// # Panics
 ///
@@ -190,77 +162,27 @@ pub fn simulate_gshare_sweep(
     histories: &[u32],
     trace: &FlatTrace,
 ) -> Vec<SimResult> {
-    if histories.iter().any(|&h| h > 2 * index_bits) {
+    if histories.iter().any(|&h| h > 32 || h > 2 * index_bits) {
         let mut configs: Vec<Gshare> = histories
             .iter()
             .map(|&h| Gshare::new(index_bits, h))
             .collect();
         return simulate_many(&mut configs, trace);
     }
-    let misps = if histories.iter().all(|&h| h <= 32) {
-        transposed_sweep_misps(index_bits, histories, trace)
-    } else {
-        bitsliced_sweep_misps(index_bits, histories, trace)
-    };
-    collect_sweep_results(index_bits, histories, trace, misps)
-}
-
-/// Runs a gshare history-length sweep through the **bitsliced lane
-/// engine**: per branch, every configuration's 2-bit counter is
-/// gathered into one `u64` lane word, all lanes advance in a single
-/// branch-free [`Counter2Table::step_lanes`] SWAR step sharing the
-/// branch outcome, and the updated lanes scatter back — no per-config
-/// saturate/compare arithmetic at all, `histories.len()` is bounded
-/// only by lane-group chunking (32 configurations per word).
-///
-/// Results are bit-identical to `histories.len()` serial
-/// [`simulate`](crate::simulate) calls, exactly like
-/// [`simulate_gshare_sweep`] (which routes to this engine for history
-/// lengths above 32 bits and to the transposed blocked engine
-/// otherwise — the two are benched head-to-head in the
-/// `sweep_bitsliced` group of `BENCH_sim.json`). Histories beyond
-/// `2 * index_bits` fall back to [`simulate_many`].
-///
-/// # Panics
-///
-/// Panics if `index_bits` is outside `1..=30` or any history length
-/// exceeds 64 (the same bounds [`Gshare::new`] enforces).
-pub fn simulate_gshare_sweep_bitsliced(
-    index_bits: u32,
-    histories: &[u32],
-    trace: &FlatTrace,
-) -> Vec<SimResult> {
-    if histories.iter().any(|&h| h > 2 * index_bits) {
-        let mut configs: Vec<Gshare> = histories
-            .iter()
-            .map(|&h| Gshare::new(index_bits, h))
-            .collect();
-        return simulate_many(&mut configs, trace);
-    }
-    let misps = bitsliced_sweep_misps(index_bits, histories, trace);
-    collect_sweep_results(index_bits, histories, trace, misps)
-}
-
-/// Shared result assembly for the sweep engines: per-config skeletons
-/// (named to match [`Gshare::name`] without building a table per config
-/// just to ask; pinned by the equivalence tests) filled with the
-/// config-invariant conditional count and the per-config misprediction
-/// tallies.
-fn collect_sweep_results(
-    index_bits: u32,
-    histories: &[u32],
-    trace: &FlatTrace,
-    misps: Vec<u64>,
-) -> Vec<SimResult> {
+    let misps = transposed_sweep_misps(index_bits, histories, trace);
     histories
         .iter()
         .zip(misps)
-        .map(|(&h, misp)| SimResult {
-            trace: trace.name().to_owned(),
-            predictor: format!("gshare {}K entries, h={h}", (1u64 << index_bits) / 1024),
-            instructions: trace.instruction_count(),
-            conditional_branches: trace.conditional_count(),
-            mispredictions: misp,
+        .map(|(&h, mispredictions)| {
+            let tally = Tally {
+                conditional_branches: trace.conditional_count(),
+                mispredictions,
+            };
+            tally.into_result(
+                trace.name().to_owned(),
+                format!("gshare {}K entries, h={h}", (1u64 << index_bits) / 1024),
+                trace.instruction_count(),
+            )
         })
         .collect()
 }
@@ -322,7 +244,7 @@ const COUNTER_STEP_LUT: [u8; 8] = [0, 5, 0, 6, 5, 3, 6, 3];
 /// The byte-table inner passes of the transposed engine.
 ///
 /// Engine tables here are one *byte* per 2-bit counter — 4× the state
-/// of the packed [`Counter2Table`] layout, but the per-branch
+/// of the packed [`Counter2Table`](ev8_predictors::bitvec::Counter2Table) layout, but the per-branch
 /// read-modify-write loses every variable-count shift (2–3 µops each on
 /// Intel, and the packed form needs several): extract is a plain byte
 /// load, the step is one [`COUNTER_STEP_LUT`] lookup, write-back is a
@@ -344,7 +266,7 @@ const COUNTER_STEP_LUT: [u8; 8] = [0, 5, 0, 6, 5, 3, 6, 3];
 fn transposed_pass_bytes(index_bits: u32, stream: &[u64], histories: &[u32]) -> Vec<u64> {
     let low_mask = (1u64 << index_bits) - 1;
     let entries = 1usize << index_bits;
-    let masks: Vec<u64> = histories.iter().map(|&h| mask_for(h)).collect();
+    let masks: Vec<u64> = histories.iter().map(|&h| (1u64 << h) - 1).collect();
     let mut tables: Vec<Vec<u8>> = vec![vec![0b01; entries]; histories.len()];
     let mut misps: Vec<u64> = vec![0; histories.len()];
     for block in stream.chunks(TRANSPOSED_BLOCK) {
@@ -444,11 +366,12 @@ fn transposed_pass_bytes(index_bits: u32, stream: &[u64], histories: &[u32]) -> 
 
 /// The packed-word inner pass of the transposed engine, for geometries
 /// past [`BYTE_TABLE_MAX_BITS`]: same iteration order, counters stored
-/// 32 per `u64` word exactly like [`Counter2Table`].
+/// 32 per `u64` word exactly like
+/// [`Counter2Table`](ev8_predictors::bitvec::Counter2Table).
 fn transposed_pass_packed(index_bits: u32, stream: &[u64], histories: &[u32]) -> Vec<u64> {
     let low_mask = (1u64 << index_bits) - 1;
     let word_count = (1usize << index_bits).div_ceil(32);
-    let masks: Vec<u64> = histories.iter().map(|&h| mask_for(h)).collect();
+    let masks: Vec<u64> = histories.iter().map(|&h| (1u64 << h) - 1).collect();
     let mut tables: Vec<Vec<u64>> = vec![vec![WEAKLY_NOT_TAKEN_FILL; word_count]; histories.len()];
     let mut misps: Vec<u64> = vec![0; histories.len()];
     for block in stream.chunks(TRANSPOSED_BLOCK) {
@@ -472,76 +395,6 @@ fn transposed_pass_packed(index_bits: u32, stream: &[u64], histories: &[u32]) ->
         }
     }
     misps
-}
-
-/// The bitsliced lane sweep engine (histories ≤ `2 * index_bits`, any
-/// length up to [`Gshare`]'s 64-bit register).
-///
-/// Shares the one-`u32`-per-branch stream (outcome in bit 31, masked PC
-/// index field below) and a single `u64` rolling register across all
-/// configurations; per branch, each configuration contributes its
-/// counter as one 2-bit lane of a SWAR word, and a single
-/// [`Counter2Table::step_lanes`] call predicts and saturates every
-/// lane at once against the shared outcome. Configurations beyond 32
-/// run as additional lane groups over the same stream.
-fn bitsliced_sweep_misps(index_bits: u32, histories: &[u32], trace: &FlatTrace) -> Vec<u64> {
-    assert!((1..=30).contains(&index_bits), "index_bits must be 1..=30");
-    debug_assert!(histories.iter().all(|&h| h <= 2 * index_bits && h <= 64));
-    let low_mask = (1u64 << index_bits) - 1;
-    let mut stream: Vec<u32> = Vec::with_capacity(trace.conditional_count() as usize);
-    trace.for_each_conditional(|pc_shifted, outcome| {
-        let pcb = (pc_shifted & low_mask) as u32;
-        stream.push(pcb | (u32::from(outcome.is_taken()) << 31));
-    });
-
-    let word_count = (1usize << index_bits).div_ceil(32);
-    let mut misps: Vec<u64> = Vec::with_capacity(histories.len());
-    for group in histories.chunks(32) {
-        let masks: Vec<u64> = group.iter().map(|&h| mask_for(h)).collect();
-        let mut tables: Vec<Vec<u64>> = vec![vec![WEAKLY_NOT_TAKEN_FILL; word_count]; group.len()];
-        let mut indices: Vec<usize> = vec![0; group.len()];
-        let mut group_misps: Vec<u64> = vec![0; group.len()];
-        let mut hist: u64 = 0;
-        for &enc in &stream {
-            let taken = u64::from(enc >> 31);
-            let pc_bits = u64::from(enc & 0x7FFF_FFFF);
-            // Gather: lane k <- config k's counter at its own index (the
-            // word mask comes from each slice's own power-of-two length
-            // so the accesses compile without bounds checks).
-            let mut lanes = 0u64;
-            for (k, (words, &mask)) in tables.iter().zip(&masks).enumerate() {
-                let h = hist & mask;
-                let idx = (pc_bits ^ (h & low_mask) ^ (h >> index_bits)) as usize;
-                indices[k] = idx;
-                let word = words[(idx >> 5) & (words.len() - 1)];
-                lanes |= ((word >> ((idx & 31) << 1)) & 0b11) << (k * 2);
-            }
-            // One SWAR step advances every configuration's counter.
-            let (predictions, next) = Counter2Table::step_lanes(lanes, taken == 1);
-            // Scatter the updated lanes and tally mispredictions.
-            for (k, (words, misp)) in tables.iter_mut().zip(group_misps.iter_mut()).enumerate() {
-                let idx = indices[k];
-                let shift = ((idx & 31) << 1) as u32;
-                let wmask = words.len() - 1;
-                let word = &mut words[(idx >> 5) & wmask];
-                *word = (*word & !(0b11u64 << shift)) | (((next >> (k * 2)) & 0b11) << shift);
-                *misp += ((predictions >> (k * 2)) & 1) ^ taken;
-            }
-            hist = (hist << 1) | taken;
-        }
-        misps.extend(group_misps);
-    }
-    misps
-}
-
-/// `(1 << h) - 1` without the `h = 64` overflow.
-#[inline]
-fn mask_for(h: u32) -> u64 {
-    if h >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << h) - 1
-    }
 }
 
 #[cfg(test)]
@@ -592,16 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_single_config_matches_serial() {
-        let t = mixed_trace();
-        let flat = FlatTrace::from_trace(&t);
-        assert_eq!(
-            simulate_flat(Gshare::new(12, 10), &flat),
-            simulate(Gshare::new(12, 10), &t)
-        );
-    }
-
-    #[test]
     fn batched_leaves_predictor_state_identical_to_serial() {
         let t = mixed_trace();
         let flat = FlatTrace::from_trace(&t);
@@ -630,52 +473,18 @@ mod tests {
         assert_eq!(batched, serial);
     }
 
-    /// The bitsliced lane engine must agree with serial gshare runs
-    /// exactly over its full claimed range, including the long-history
-    /// region (32 < h <= 2 * index_bits) the front door routes to it
-    /// and lane positions across the whole SWAR word.
+    /// Histories past 32 bits (but within 2 * index_bits) leave the
+    /// transposed engine for the general one; the front door must still
+    /// match serial runs across the whole mix.
     #[test]
-    fn bitsliced_lane_engine_matches_serial_exactly() {
+    fn gshare_sweep_routes_long_histories_to_simulate_many() {
         let t = mixed_trace();
         let flat = FlatTrace::from_trace(&t);
         let histories = [0, 1, 5, 10, 14, 20, 33, 36];
-        let batched = simulate_gshare_sweep_bitsliced(18, &histories, &flat);
+        let batched = simulate_gshare_sweep(18, &histories, &flat);
         let serial: Vec<_> = histories
             .iter()
             .map(|&h| simulate(Gshare::new(18, h), &t))
-            .collect();
-        assert_eq!(batched, serial);
-        // The front door routes to the lane engine whenever a history
-        // exceeds 32 bits — same results through that path.
-        assert_eq!(simulate_gshare_sweep(18, &histories, &flat), serial);
-    }
-
-    /// More than 32 configurations split into multiple lane groups; the
-    /// group boundary must be invisible in the results.
-    #[test]
-    fn bitsliced_lane_groups_chunk_past_32_configs() {
-        let t = mixed_trace();
-        let flat = FlatTrace::from_trace(&t);
-        let histories: Vec<u32> = (0..40).map(|i| i % 20).collect();
-        let batched = simulate_gshare_sweep_bitsliced(10, &histories, &flat);
-        let serial: Vec<_> = histories
-            .iter()
-            .map(|&h| simulate(Gshare::new(10, h), &t))
-            .collect();
-        assert_eq!(batched, serial);
-    }
-
-    /// The bitsliced front door falls back to the generic engine beyond
-    /// 2 * index_bits, like `simulate_gshare_sweep`.
-    #[test]
-    fn bitsliced_long_history_fallback_matches_serial() {
-        let t = mixed_trace();
-        let flat = FlatTrace::from_trace(&t);
-        let histories = [4, 17, 40, 64];
-        let batched = simulate_gshare_sweep_bitsliced(8, &histories, &flat);
-        let serial: Vec<_> = histories
-            .iter()
-            .map(|&h| simulate(Gshare::new(8, h), &t))
             .collect();
         assert_eq!(batched, serial);
     }
@@ -720,17 +529,6 @@ mod tests {
             .map(|&h| simulate(Gshare::new(BYTE_TABLE_MAX_BITS + 1, h), &t))
             .collect();
         assert_eq!(batched, serial);
-    }
-
-    #[test]
-    fn bitsliced_sweep_empty_inputs() {
-        let flat = FlatTrace::from_trace(&mixed_trace());
-        assert!(simulate_gshare_sweep_bitsliced(12, &[], &flat).is_empty());
-        let empty = FlatTrace::from_trace(&Trace::default());
-        let results = simulate_gshare_sweep_bitsliced(12, &[0, 8], &empty);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].conditional_branches, 0);
-        assert_eq!(results[1].mispredictions, 0);
     }
 
     /// Histories beyond 2 * index_bits route through the generic engine

@@ -157,14 +157,20 @@ pub fn report_for(
         table.row(vec![
             result.trace.clone(),
             fmt_mispki(result.misp_per_ki()),
-            format!("{:.1}", pct(attr.provider_majority, attr.predictions)),
-            format!("{:.1}", pct(attr.meta_decisive, attr.predictions)),
-            format!("{:.1}", pct(attr.meta_correct, attr.meta_decisive)),
-            format!("{:.1}", pct(attr.actions[0], attr.predictions)),
-            format!("{:.1}", pct(attr.actions[1], attr.predictions)),
-            format!("{:.1}", pct(attr.actions[2], attr.predictions)),
-            format!("{:.1}", pct(attr.actions[3], attr.predictions)),
-            attr.bank_collisions.unwrap_or(0).to_string(),
+            format!(
+                "{:.1}",
+                pct(attr.summary.provider_majority, attr.predictions)
+            ),
+            format!("{:.1}", pct(attr.summary.meta_decisive, attr.predictions)),
+            format!(
+                "{:.1}",
+                pct(attr.summary.meta_correct, attr.summary.meta_decisive)
+            ),
+            format!("{:.1}", pct(attr.summary.actions[0], attr.predictions)),
+            format!("{:.1}", pct(attr.summary.actions[1], attr.predictions)),
+            format!("{:.1}", pct(attr.summary.actions[2], attr.predictions)),
+            format!("{:.1}", pct(attr.summary.actions[3], attr.predictions)),
+            attr.summary.bank_collisions.unwrap_or(0).to_string(),
             format!("{:.1}", pct(top, result.mispredictions)),
         ]);
     }

@@ -15,7 +15,6 @@
 //! is catastrophically worse and is why the EV8 maintains speculative
 //! history.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
@@ -24,7 +23,7 @@ use ev8_predictors::BranchPredictor;
 use crate::batch::simulate_many;
 use crate::experiments::{suite_flat_traces, suite_traces};
 use crate::report::{ExperimentReport, TextTable};
-use crate::simulator::simulate_stale_update_with_scratch;
+use crate::simulator::simulate_stale_update;
 use crate::sweep::run_parallel;
 
 /// Regenerates the immediate-vs-commit-time comparison with the given
@@ -50,12 +49,10 @@ pub fn report(scale: f64, workers: usize, window: usize) -> ExperimentReport {
                     )),
                 ];
                 let batched = simulate_many(&mut configs, &flat);
-                let mut scratch = VecDeque::new();
-                let stale = simulate_stale_update_with_scratch(
+                let stale = simulate_stale_update(
                     TwoBcGskew::new(TwoBcGskewConfig::size_512k()),
                     &t,
                     window,
-                    &mut scratch,
                 );
                 (
                     batched[0].misp_per_ki(),

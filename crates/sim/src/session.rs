@@ -8,10 +8,13 @@
 //! load without touching prediction accuracy.
 //!
 //! [`SessionSim`] is the streaming equivalent: feed records as they
-//! decode, take a [`SessionSummary`] per trace. Its results are
+//! decode, take a [`SessionSummary`] per trace. Each record is one
+//! simulation-kernel step ([`Tally::step`]), so its results are
 //! **bit-identical** to [`crate::simulate`] over the same records — the
-//! chaos acceptance suite pins concurrent server sessions against serial
-//! simulation with exact counter equality.
+//! differential matrix (`tests/differential.rs`) pins this for every
+//! predictor family, and the chaos acceptance suite pins concurrent
+//! server sessions against serial simulation with exact counter
+//! equality.
 //!
 //! Attribution here is deliberately *bounded*: unlike
 //! [`crate::observe::Attribution`], no per-PC histogram is kept — a
@@ -19,17 +22,20 @@
 //! PCs. Everything in [`ProvenanceSummary`] is O(1) counters.
 
 use ev8_predictors::observe::ConditionalBranchPredictor;
-use ev8_predictors::provenance::UpdateAction;
+use ev8_predictors::provenance::{Provenance, UpdateAction};
 use ev8_predictors::twobcgskew::ChosenComponent;
 use ev8_trace::BranchRecord;
 
+use crate::kernel::{Observe, Tally};
 use crate::metrics::SimResult;
+use crate::observe::Observer;
 
-/// Bounded, O(1)-memory attribution counters for one streamed trace.
+/// Bounded, O(1)-memory attribution counters for one streamed trace —
+/// an [`Observer`] in its own right, and the part of
+/// [`crate::observe::Attribution`] the two share.
 ///
-/// The counter semantics match [`crate::observe::Attribution`] (minus
-/// the per-PC map); degenerate single-component predictors (bimodal,
-/// gshare, TAGE) report everything on the side their provenance maps to.
+/// Degenerate single-component predictors (bimodal, gshare, TAGE)
+/// report everything on the side their provenance maps to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProvenanceSummary {
     /// Predictions served by the bimodal side of the chooser.
@@ -48,6 +54,37 @@ pub struct ProvenanceSummary {
     pub actions: [u64; UpdateAction::COUNT],
     /// §6 bank-collision counter (`Some(0)` for a healthy EV8 session).
     pub bank_collisions: Option<u64>,
+}
+
+impl Observer for ProvenanceSummary {
+    fn on_prediction(&mut self, p: &Provenance) {
+        let correct = p.correct();
+        match p.chosen {
+            ChosenComponent::Bimodal => {
+                self.provider_bimodal += 1;
+                if !correct {
+                    self.wrong_by_bimodal += 1;
+                }
+            }
+            ChosenComponent::Majority => {
+                self.provider_majority += 1;
+                if !correct {
+                    self.wrong_by_majority += 1;
+                }
+            }
+        }
+        if p.meta_decisive() {
+            self.meta_decisive += 1;
+            if correct {
+                self.meta_correct += 1;
+            }
+        }
+        self.actions[p.action.index()] += 1;
+    }
+
+    fn on_finish(&mut self, bank_collisions: Option<u64>) {
+        self.bank_collisions = bank_collisions;
+    }
 }
 
 /// The result of one streamed trace within a session: the exact
@@ -86,8 +123,7 @@ pub struct SessionSim {
     trace_name: String,
     declared_instructions: u64,
     computed_instructions: u64,
-    conditional_branches: u64,
-    mispredictions: u64,
+    tally: Tally,
     summary: ProvenanceSummary,
 }
 
@@ -105,8 +141,7 @@ impl SessionSim {
             trace_name: String::new(),
             declared_instructions: 0,
             computed_instructions: 0,
-            conditional_branches: 0,
-            mispredictions: 0,
+            tally: Tally::default(),
             summary: ProvenanceSummary::default(),
         }
     }
@@ -143,48 +178,21 @@ impl SessionSim {
         self.trace_name.push_str(name);
         self.declared_instructions = declared_instructions;
         self.computed_instructions = 0;
-        self.conditional_branches = 0;
-        self.mispredictions = 0;
+        self.tally = Tally::default();
         self.summary = ProvenanceSummary::default();
     }
 
-    /// Feeds one record through the predictor, updating the scoreboard.
+    /// Feeds one record through the predictor, updating the scoreboard:
+    /// one kernel step, through the attribution observer while
+    /// attribution is on.
     pub fn feed(&mut self, record: &BranchRecord) {
         self.computed_instructions += 1 + u64::from(record.gap);
+        let predictor = &mut *self.predictor;
         if self.attribution {
-            if let Some(p) = self.predictor.predict_and_update_observed(record) {
-                self.conditional_branches += 1;
-                let correct = p.correct();
-                if !correct {
-                    self.mispredictions += 1;
-                }
-                match p.chosen {
-                    ChosenComponent::Bimodal => {
-                        self.summary.provider_bimodal += 1;
-                        if !correct {
-                            self.summary.wrong_by_bimodal += 1;
-                        }
-                    }
-                    ChosenComponent::Majority => {
-                        self.summary.provider_majority += 1;
-                        if !correct {
-                            self.summary.wrong_by_majority += 1;
-                        }
-                    }
-                }
-                if p.meta_decisive() {
-                    self.summary.meta_decisive += 1;
-                    if correct {
-                        self.summary.meta_correct += 1;
-                    }
-                }
-                self.summary.actions[p.action.index()] += 1;
-            }
-        } else if let Some(prediction) = self.predictor.predict_and_update(record) {
-            self.conditional_branches += 1;
-            if prediction != record.outcome {
-                self.mispredictions += 1;
-            }
+            let mut hook = Observe(&mut self.summary);
+            self.tally.step(predictor, record, &mut hook);
+        } else {
+            self.tally.step(predictor, record, &mut ());
         }
     }
 
@@ -203,16 +211,14 @@ impl SessionSim {
         } else {
             self.computed_instructions
         };
-        let result = SimResult {
-            trace: self.trace_name.clone(),
-            predictor: self.predictor_name.clone(),
+        let result = self.tally.into_result(
+            self.trace_name.clone(),
+            self.predictor_name.clone(),
             instructions,
-            conditional_branches: self.conditional_branches,
-            mispredictions: self.mispredictions,
-        };
+        );
         let attribution = self.attribution.then(|| {
             let mut s = self.summary;
-            s.bank_collisions = self.predictor.bank_collisions();
+            s.on_finish(self.predictor.bank_collisions());
             s
         });
         SessionSummary {
@@ -225,7 +231,6 @@ impl SessionSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::simulate;
     use ev8_predictors::bimodal::Bimodal;
     use ev8_predictors::gshare::Gshare;
     use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
@@ -242,23 +247,6 @@ mod tests {
             ));
         }
         b.finish()
-    }
-
-    #[test]
-    fn session_matches_serial_simulate_exactly() {
-        let t = patterned_trace(3000);
-        for attribution in [false, true] {
-            let serial = simulate(TwoBcGskew::new(TwoBcGskewConfig::equal(10, 10)), &t);
-            let mut s = SessionSim::new(
-                Box::new(TwoBcGskew::new(TwoBcGskewConfig::equal(10, 10))),
-                attribution,
-            );
-            s.begin(t.name(), t.instruction_count());
-            s.feed_all(t.records());
-            let summary = s.finish();
-            assert_eq!(summary.result, serial, "attribution={attribution}");
-            assert_eq!(summary.attribution.is_some(), attribution);
-        }
     }
 
     #[test]

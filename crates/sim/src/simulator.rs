@@ -9,6 +9,7 @@ use ev8_predictors::BranchPredictor;
 use ev8_trace::corpus::CorpusReader;
 use ev8_trace::{BranchRecord, Outcome, Trace, TraceError};
 
+use crate::kernel::{run, Tally};
 use crate::metrics::SimResult;
 
 /// Runs a predictor over a trace with **immediate update** — the paper's
@@ -16,20 +17,7 @@ use crate::metrics::SimResult;
 /// ([`BranchPredictor::predict_and_update`]), so path-sensitive predictors
 /// see the full control flow.
 pub fn simulate<P: BranchPredictor>(mut predictor: P, trace: &Trace) -> SimResult {
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    for record in trace.iter() {
-        if let Some(prediction) = predictor.predict_and_update(record) {
-            result.conditional_branches += 1;
-            if prediction != record.outcome {
-                result.mispredictions += 1;
-            }
-        }
-    }
+    let Ok(result) = run(trace, &mut predictor, &mut ());
     result
 }
 
@@ -39,11 +27,12 @@ pub fn simulate<P: BranchPredictor>(mut predictor: P, trace: &Trace) -> SimResul
 /// Chunks decode one at a time into packed [`ev8_trace::FlatTrace`]
 /// blocks (see [`CorpusReader::next_block`]), so the 24 B/record AoS
 /// [`Trace`] is never materialized: resident memory is one chunk
-/// regardless of trace length. The per-record loop body is identical to
-/// [`simulate`]'s, and the corpus totals are validated during the walk,
-/// so for an uncorrupted corpus of the same trace the returned
-/// [`SimResult`] is bit-identical to the in-RAM path (pinned for the
-/// full Table 2 suite by `tests/corpus_pipeline.rs`).
+/// regardless of trace length. The per-record step is the same kernel
+/// step as [`simulate`]'s, and the corpus totals are validated during
+/// the walk, so for an uncorrupted corpus of the same trace the returned
+/// [`SimResult`] is bit-identical to the in-RAM path (pinned over
+/// chunk-straddling arbitrary traces by `tests/differential.rs` and for
+/// the full Table 2 suite by `tests/corpus_pipeline.rs`).
 ///
 /// # Errors
 ///
@@ -54,21 +43,7 @@ pub fn simulate_corpus<P: BranchPredictor, R: std::io::Read>(
     mut predictor: P,
     reader: CorpusReader<R>,
 ) -> Result<SimResult, TraceError> {
-    let mut result = SimResult {
-        trace: reader.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: reader.instruction_count(),
-        ..SimResult::default()
-    };
-    reader.for_each(|record| {
-        if let Some(prediction) = predictor.predict_and_update(record) {
-            result.conditional_branches += 1;
-            if prediction != record.outcome {
-                result.mispredictions += 1;
-            }
-        }
-    })?;
-    Ok(result)
+    run(reader, &mut predictor, &mut ())
 }
 
 /// Runs a predictor over a trace with immediate update while injecting
@@ -76,11 +51,10 @@ pub fn simulate_corpus<P: BranchPredictor, R: std::io::Read>(
 /// conditional branch, *before* the branch is predicted, so a strike can
 /// corrupt the very next lookup.
 ///
-/// This is a separate entry point rather than a hook inside [`simulate`]
-/// on purpose: the fault-free hot path stays byte-for-byte identical to
-/// the unfaulted build (no per-branch flag test, no dead injector state),
-/// which is what makes the "fault hooks are zero-cost when disabled"
-/// claim checkable by construction and by the `sim_hot_loop` bench.
+/// The injector is the kernel's [`StepHook`](crate::kernel::StepHook)
+/// for this run: monomorphization gives it its own loop, so [`simulate`]
+/// carries no per-branch flag test and no dead injector state (the
+/// `sim_hot_loop` bench records what the armed hook costs).
 ///
 /// Faults are *soft errors*, not logical writes: they go straight to the
 /// storage arrays via
@@ -98,23 +72,7 @@ pub fn simulate_with_faults<P: BranchPredictor + FaultTarget>(
     plan: FaultPlan,
 ) -> (SimResult, FaultLog) {
     let mut injector = FaultInjector::new(plan, &predictor);
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: predictor.name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    for record in trace.iter() {
-        if record.kind.is_conditional() {
-            injector.step(&mut predictor);
-        }
-        if let Some(prediction) = predictor.predict_and_update(record) {
-            result.conditional_branches += 1;
-            if prediction != record.outcome {
-                result.mispredictions += 1;
-            }
-        }
-    }
+    let Ok(result) = run(trace, &mut predictor, &mut injector);
     (result, injector.into_log())
 }
 
@@ -130,44 +88,22 @@ pub fn simulate_with_faults<P: BranchPredictor + FaultTarget>(
 /// commit-time model (speculative history, delayed counter writes) is
 /// `TwoBcGskewConfig::with_commit_window`, validated by the
 /// [`crate::experiments::delayed_update`] experiment.
-pub fn simulate_stale_update<P: BranchPredictor>(
-    predictor: P,
-    trace: &Trace,
-    window: usize,
-) -> SimResult {
-    let mut inflight = VecDeque::with_capacity(window + 1);
-    simulate_stale_update_with_scratch(predictor, trace, window, &mut inflight)
-}
-
-/// [`simulate_stale_update`] with a caller-owned in-flight queue, so
-/// sweeps running many stale-update simulations (e.g. the
-/// [`crate::experiments::delayed_update`] window sweep) reuse one
-/// allocation instead of growing a fresh `VecDeque` per run.
 ///
-/// The scratch is cleared on entry; its capacity (grown to at least
-/// `window + 1`) is what carries over between runs.
-pub fn simulate_stale_update_with_scratch<P: BranchPredictor>(
+/// This is a different update model from the kernel's immediate update,
+/// so it keeps its own loop.
+pub fn simulate_stale_update<P: BranchPredictor>(
     mut predictor: P,
     trace: &Trace,
     window: usize,
-    inflight: &mut VecDeque<BranchRecord>,
 ) -> SimResult {
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: format!("{} [stale, window {window}]", predictor.name()),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
-    inflight.clear();
-    if inflight.capacity() <= window {
-        inflight.reserve(window + 1);
-    }
+    let mut tally = Tally::default();
+    let mut inflight = VecDeque::with_capacity(window + 1);
     for record in trace.iter() {
         if record.kind.is_conditional() {
             let prediction = predictor.predict(record.pc);
-            result.conditional_branches += 1;
+            tally.conditional_branches += 1;
             if prediction != record.outcome {
-                result.mispredictions += 1;
+                tally.mispredictions += 1;
             }
             inflight.push_back(*record);
             if inflight.len() > window {
@@ -181,7 +117,11 @@ pub fn simulate_stale_update_with_scratch<P: BranchPredictor>(
     while let Some(commit) = inflight.pop_front() {
         predictor.update_record(&commit);
     }
-    result
+    tally.into_result(
+        trace.name().to_owned(),
+        format!("{} [stale, window {window}]", predictor.name()),
+        trace.instruction_count(),
+    )
 }
 
 /// A perfect predictor (always right) — gives the misp/KI floor of zero
@@ -332,25 +272,6 @@ mod tests {
         assert!(first.conditional_branches == 50);
         let second = simulate(&mut p, &t);
         assert!(second.mispredictions <= first.mispredictions);
-    }
-
-    #[test]
-    fn faulted_sim_at_rate_zero_is_identical_to_plain() {
-        // The zero-cost/equivalence anchor: a disabled fault plan must
-        // reproduce `simulate` bit-for-bit (same mispredictions, same
-        // write accounting), with zero injections logged.
-        use ev8_faults::FaultPlan;
-        use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig};
-        let t = biased_trace(2000, 5);
-        let plain = simulate(TwoBcGskew::new(TwoBcGskewConfig::equal(10, 10)), &t);
-        let (faulted, log) = simulate_with_faults(
-            TwoBcGskew::new(TwoBcGskewConfig::equal(10, 10)),
-            &t,
-            FaultPlan::seu(0.0).with_seed(7),
-        );
-        assert_eq!(log.injected(), 0);
-        assert_eq!(plain.mispredictions, faulted.mispredictions);
-        assert_eq!(plain.conditional_branches, faulted.conditional_branches);
     }
 
     #[test]

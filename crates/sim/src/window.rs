@@ -17,7 +17,8 @@
 //! serial one.
 //!
 //! Two properties make the error auditable rather than hand-waved
-//! (pinned by the tests here and in `tests/batched_equivalence.rs`):
+//! (pinned by `tests/differential.rs`, `tests/batched_equivalence.rs`
+//! and the tests here):
 //!
 //! 1. **Exactness at full warmup.** If `warmup_len` covers the whole
 //!    prefix of every window (`warmup_len >= len - window_len`), each
@@ -30,16 +31,21 @@
 //!
 //! The per-window warmup is redundant work: total cost is
 //! `len + windows * warmup_len` record steps, so throughput scales as
-//! `workers / (1 + W/window_len)`. The `sweep_bitsliced` bench records
-//! the realized branches/sec and the signed misprediction delta next to
+//! `workers / (1 + W/window_len)`. The `windowed` bench records the
+//! realized branches/sec and the signed misprediction delta next to
 //! each other, so the speed/accuracy trade is always visible in
 //! `BENCH_sim.json`.
+//!
+//! Each window's warmup and measured passes are
+//! [`Tally::over`] calls on a `(&FlatTrace, Range)` slice: the same
+//! kernel step as every other front door.
 
 use std::sync::Arc;
 
 use ev8_predictors::BranchPredictor;
 use ev8_trace::FlatTrace;
 
+use crate::kernel::Tally;
 use crate::metrics::SimResult;
 use crate::sweep::{run_parallel_with, RunPolicy};
 
@@ -81,15 +87,6 @@ impl WindowPlan {
     }
 }
 
-/// Per-window scoreboard from a windowed run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowCounts {
-    /// Conditional branches measured in the window (warmup excluded).
-    pub conditional_branches: u64,
-    /// Mispredictions among them.
-    pub mispredictions: u64,
-}
-
 /// Result of [`simulate_windowed`]: the spliced [`SimResult`] plus the
 /// per-window scoreboards for bit-accounting against a serial run.
 #[derive(Clone, Debug)]
@@ -99,7 +96,7 @@ pub struct WindowedRun {
     /// The geometry the run used.
     pub plan: WindowPlan,
     /// One scoreboard per window, in trace order; sums match `result`.
-    pub per_window: Vec<WindowCounts>,
+    pub per_window: Vec<Tally>,
 }
 
 /// Simulates `trace` in parallel windows, splicing the scoreboards.
@@ -127,14 +124,9 @@ where
     F: Fn() -> P + Send + Sync + 'static,
 {
     let len = trace.len();
-    let mut result = SimResult {
-        trace: trace.name().to_owned(),
-        predictor: factory().name(),
-        instructions: trace.instruction_count(),
-        ..SimResult::default()
-    };
+    let predictor = factory().name();
     let factory = Arc::new(factory);
-    let jobs: Vec<Box<dyn Fn() -> WindowCounts + Send + 'static>> = (0..plan.windows(len))
+    let jobs: Vec<Box<dyn Fn() -> Tally + Send + 'static>> = (0..plan.windows(len))
         .map(|w| {
             let trace = Arc::clone(trace);
             let factory = Arc::clone(&factory);
@@ -143,51 +135,24 @@ where
             let warm_start = start - plan.warmup_len.min(start);
             Box::new(move || {
                 let mut predictor = factory();
-                trace.for_each_in(warm_start..start, |record| {
-                    predictor.predict_and_update(record);
-                });
-                let mut counts = WindowCounts::default();
-                trace.for_each_in(start..end, |record| {
-                    if let Some(prediction) = predictor.predict_and_update(record) {
-                        counts.conditional_branches += 1;
-                        counts.mispredictions += u64::from(prediction != record.outcome);
-                    }
-                });
-                counts
-            }) as Box<dyn Fn() -> WindowCounts + Send + 'static>
+                let Ok(_warmup) =
+                    Tally::over((&*trace, warm_start..start), &mut predictor, &mut ());
+                let Ok(measured) = Tally::over((&*trace, start..end), &mut predictor, &mut ());
+                measured
+            }) as Box<dyn Fn() -> Tally + Send + 'static>
         })
         .collect();
     let per_window = run_parallel_with(jobs, workers.max(1), policy).into_complete();
-    for counts in &per_window {
-        result.conditional_branches += counts.conditional_branches;
-        result.mispredictions += counts.mispredictions;
-    }
+    let total: Tally = per_window.iter().copied().sum();
     WindowedRun {
-        result,
+        result: total.into_result(
+            trace.name().to_owned(),
+            predictor,
+            trace.instruction_count(),
+        ),
         plan,
         per_window,
     }
-}
-
-/// [`simulate_windowed`] over an experiment [`Factory`]: the front door
-/// for windowed and sampled runs of *any* predictor family (gshare,
-/// 2Bc-gskew, EV8, TAGE, …) described as a boxed constructor.
-///
-/// `Box<dyn BranchPredictor>` itself implements [`BranchPredictor`], so
-/// this is a thin adapter; it exists so call sites holding the
-/// type-erased factories used across [`crate::experiments`] (and the
-/// sampling engine) don't each re-derive the closure plumbing.
-///
-/// [`Factory`]: crate::experiments::Factory
-pub fn simulate_windowed_factory(
-    factory: &crate::experiments::Factory,
-    trace: &Arc<FlatTrace>,
-    plan: WindowPlan,
-    workers: usize,
-    policy: &RunPolicy,
-) -> WindowedRun {
-    let factory = Arc::clone(factory);
-    simulate_windowed(move || factory(), trace, plan, workers, policy)
 }
 
 #[cfg(test)]
@@ -210,25 +175,6 @@ mod tests {
             ));
         }
         Arc::new(FlatTrace::from_trace(&b.finish()))
-    }
-
-    #[test]
-    fn full_warmup_splice_is_bit_identical_to_serial() {
-        let trace = dense_trace(5_000);
-        let serial = simulate_flat(Gshare::new(10, 8), &trace);
-        let plan = WindowPlan::new(700, trace.len());
-        assert!(plan.is_exact_for(trace.len()));
-        let run = simulate_windowed(
-            || Gshare::new(10, 8),
-            &trace,
-            plan,
-            4,
-            &RunPolicy::default(),
-        );
-        assert_eq!(run.result, serial);
-        assert_eq!(run.per_window.len(), plan.windows(trace.len()));
-        let spliced: u64 = run.per_window.iter().map(|w| w.mispredictions).sum();
-        assert_eq!(spliced, run.result.mispredictions);
     }
 
     #[test]

@@ -84,23 +84,19 @@ observability_smoke() {
 }
 budgeted "observability smoke" EV8_OBSERVE_BUDGET 120 -- observability_smoke
 
-# Sweep-engine smoke, budgeted: the batched-vs-serial equivalence suite
+# Equivalence smoke, budgeted: the batched-vs-serial suite
 # (simulate_many / simulate_gshare_sweep bit-identity over generated
-# traces, including predictor write-accounting state) must stay cheap —
-# it guards the sweep engine every experiment run leans on, so a budget
-# blowout here means trace memoization or the batched hot loop regressed.
-budgeted batched_equivalence EV8_SWEEP_BUDGET 120 -- \
+# traces, including predictor write-accounting state, and the windowed
+# splice's accounting) and the differential matrix (every simulation
+# front door against simulate, field for field, for every predictor
+# family) must stay cheap — they guard the kernel every experiment run
+# leans on, so a budget blowout here means trace memoization or the
+# simulation hot loop regressed.
+equivalence_smoke() {
     run cargo test -q --test batched_equivalence --offline
-
-# Bitsliced/windowed engine smoke, budgeted: the lane-sweep bit-identity
-# properties (transposed and SWAR engines vs serial over arbitrary
-# traces) and the windowed-splice accounting (exact at full warmup,
-# convergent misprediction delta vs the serial golden counts otherwise).
-# These also run inside the full batched_equivalence pass above; the
-# dedicated filter run keeps a budget pinned on the PR-7 engines alone,
-# so a blowout points at the lane/window hot paths and not the suite.
-budgeted "bitsliced/windowed smoke" EV8_BITSLICE_BUDGET 120 -- \
-    run cargo test -q --test batched_equivalence --offline -- bitsliced windowed
+    run cargo test -q --test differential --offline
+}
+budgeted "equivalence smoke" EV8_SWEEP_BUDGET 120 -- equivalence_smoke
 
 # Cross-generation smoke, budgeted: the TAGE property suite (tagged-table
 # invariants under arbitrary streams, with literal-seed replay) plus one

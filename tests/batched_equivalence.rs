@@ -9,6 +9,11 @@
 //! `EV8_PROP_CASE_SEED`/`EV8_PROP_SCALE` pair reproducing the minimal
 //! counterexample. The suite-level check (also run by the CI sweep
 //! smoke, see `scripts/ci.sh`) covers the real generated benchmarks.
+//!
+//! The one-predictor-per-front-door pins (`simulate_flat`, the corpus
+//! stream, the windowed splice at full warmup, sessions, the observed
+//! and faulted loops, the sampler) live in the differential matrix,
+//! `tests/differential.rs`.
 
 mod common;
 
@@ -25,8 +30,7 @@ use ev8_predictors::twobcgskew::{TwoBcGskew, TwoBcGskewConfig, UpdatePolicy};
 use ev8_predictors::BranchPredictor;
 use ev8_sim::sweep::RunPolicy;
 use ev8_sim::{
-    simulate, simulate_flat, simulate_gshare_sweep, simulate_gshare_sweep_bitsliced, simulate_many,
-    simulate_windowed, WindowPlan,
+    simulate, simulate_flat, simulate_gshare_sweep, simulate_many, simulate_windowed, WindowPlan,
 };
 use ev8_trace::{BranchRecord, FlatTrace, Outcome};
 use ev8_workloads::spec95;
@@ -153,33 +157,14 @@ fn simulate_many_matches_serial_tage_full_state() {
 }
 
 #[test]
-fn simulate_flat_equals_simulate_on_arbitrary_traces() {
+fn gshare_sweep_matches_serial_on_arbitrary_traces() {
+    // The specialized gshare sweep (the transposed-stream engine behind
+    // `simulate_gshare_sweep`) against K serial runs, over arbitrary
+    // traces including escape-table extremes, with geometry drawn per
+    // case — including history lengths that force the long-history
+    // route to `simulate_many`.
     check(
-        "simulate_flat_equals_simulate_on_arbitrary_traces",
-        CASES,
-        |g| {
-            let trace = arb_trace(g);
-            let flat = FlatTrace::from_trace(&trace);
-            let bits = g.range(4u32..12);
-            prop_assert_eq!(
-                simulate_flat(Gshare::new(bits, bits), &flat),
-                simulate(Gshare::new(bits, bits), &trace)
-            );
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn bitsliced_and_transposed_sweeps_match_serial_on_arbitrary_traces() {
-    // Both specialized gshare sweep engines (the transposed-stream pass
-    // behind `simulate_gshare_sweep` and the SWAR lane pass behind
-    // `simulate_gshare_sweep_bitsliced`) against K serial runs, over
-    // arbitrary traces including escape-table extremes, with geometry
-    // drawn per case — including history lengths that force the
-    // long-history fallback.
-    check(
-        "bitsliced_and_transposed_sweeps_match_serial_on_arbitrary_traces",
+        "gshare_sweep_matches_serial_on_arbitrary_traces",
         CASES,
         |g| {
             let trace = arb_trace(g);
@@ -190,14 +175,7 @@ fn bitsliced_and_transposed_sweeps_match_serial_on_arbitrary_traces() {
                 .iter()
                 .map(|&h| simulate(Gshare::new(index_bits, h), &trace))
                 .collect();
-            prop_assert_eq!(
-                simulate_gshare_sweep(index_bits, &histories, &flat),
-                serial.clone()
-            );
-            prop_assert_eq!(
-                simulate_gshare_sweep_bitsliced(index_bits, &histories, &flat),
-                serial
-            );
+            prop_assert_eq!(simulate_gshare_sweep(index_bits, &histories, &flat), serial);
             Ok(())
         },
     );
@@ -292,39 +270,6 @@ fn windowed_splice_is_bit_accounted_on_real_benchmarks() {
             deltas.last().unwrap(),
             serial.mispredictions
         );
-    }
-}
-
-/// The windowed front door is family-agnostic: batched≡serial at full
-/// warmup for *every* predictor family behind the type-erased
-/// experiment [`Factory`] — bimodal, gshare, 2Bc-gskew, the full EV8
-/// and TAGE — not just the gshare shape the engine grew up on.
-#[test]
-fn windowed_splice_is_exact_at_full_warmup_for_every_family() {
-    use ev8_sim::experiments::{factory, Factory};
-    use ev8_sim::simulate_windowed_factory;
-    let policy = RunPolicy::default();
-    let families: Vec<(&str, Factory)> = vec![
-        ("bimodal", factory(|| Bimodal::new(12))),
-        ("gshare", factory(|| Gshare::new(12, 12))),
-        (
-            "2bcgskew",
-            factory(|| TwoBcGskew::new(TwoBcGskewConfig::ev8_size())),
-        ),
-        ("ev8", factory(Ev8Predictor::ev8)),
-        ("tage", factory(|| Tage::new(TageConfig::ev8_budget()))),
-    ];
-    for name in ["compress", "go"] {
-        let flat = spec95::cached_flat(name, 0.001).unwrap();
-        let plan = WindowPlan::new(2048, flat.len());
-        assert!(plan.is_exact_for(flat.len()));
-        for (family, fac) in &families {
-            let serial = simulate_flat(fac(), &flat);
-            let run = simulate_windowed_factory(fac, &flat, plan, 4, &policy);
-            assert_eq!(run.result, serial, "{name}/{family}: full-warmup splice");
-            let spliced: u64 = run.per_window.iter().map(|w| w.mispredictions).sum();
-            assert_eq!(spliced, serial.mispredictions, "{name}/{family}");
-        }
     }
 }
 

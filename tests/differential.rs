@@ -35,8 +35,7 @@ use ev8_sim::observe::{Attribution, NullObserver};
 use ev8_sim::sweep::RunPolicy;
 use ev8_sim::{
     simulate, simulate_corpus, simulate_flat, simulate_many, simulate_observed, simulate_sampled,
-    simulate_windowed, simulate_with_faults, ProvenanceSummary, SamplingConfig, SessionSim,
-    SimResult, WindowPlan,
+    simulate_windowed, simulate_with_faults, SamplingConfig, SessionSim, SimResult, WindowPlan,
 };
 use ev8_trace::corpus::{write_corpus_chunked, CorpusReader};
 use ev8_trace::{FlatTrace, Trace};
@@ -63,20 +62,6 @@ impl Knobs {
             phases: g.range(1u32..5) as usize,
             fault_seed: g.u64(),
         }
-    }
-}
-
-/// The counters `ProvenanceSummary` shares with `Attribution`.
-fn shared_counters(a: &Attribution) -> ProvenanceSummary {
-    ProvenanceSummary {
-        provider_bimodal: a.provider_bimodal,
-        provider_majority: a.provider_majority,
-        wrong_by_bimodal: a.wrong_by_bimodal,
-        wrong_by_majority: a.wrong_by_majority,
-        meta_decisive: a.meta_decisive,
-        meta_correct: a.meta_correct,
-        actions: a.actions,
-        bank_collisions: a.bank_collisions,
     }
 }
 
@@ -165,7 +150,7 @@ fn row<P: ConditionalBranchPredictor + 'static>(
             };
             let door = format!("SessionSim (attribution {on}, by record {by_record})");
             expect(&door, &summary.result)?;
-            let want = on.then(|| shared_counters(&attribution));
+            let want = on.then_some(attribution.summary);
             if summary.attribution != want {
                 return Err(format!(
                     "{family}: {door}: summary {:?} vs attribution {want:?}",

@@ -429,7 +429,7 @@ fn attribution_reconciles_on_arbitrary_traces() {
         if let Err(e) = attr.reconcile(&result) {
             return Err(format!("attribution failed to reconcile: {e}"));
         }
-        prop_assert_eq!(attr.bank_collisions, Some(0));
+        prop_assert_eq!(attr.summary.bank_collisions, Some(0));
         let cond = records.iter().filter(|r| r.kind.is_conditional()).count() as u64;
         prop_assert_eq!(attr.predictions, cond);
         prop_assert_eq!(attr.mispredictions, result.mispredictions);

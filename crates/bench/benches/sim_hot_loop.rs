@@ -17,20 +17,22 @@
 //! for an 8x smaller resident footprint), and is recorded so either
 //! side regressing badly is visible.
 //!
-//! A fourth group guards the fault-injection subsystem's zero-cost
-//! claim: fault hooks are a *separate entry point*
-//! (`simulate_with_faults`), so the plain `simulate` hot loop carries no
-//! disabled-hook cost by construction — `fault_hook_disabled_ns` (plain
-//! `simulate` on the same predictor/trace) must stay in family with
-//! `simulate_ev8_ns` history, and `fault_hook_zero_rate_ns` records what
-//! an armed-but-rate-0 injector costs (one RNG draw per branch).
+//! The last two groups guard the simulation kernel's hooks. Every
+//! front door runs the same per-record step, and the hook — `()`, a
+//! fault injector or an observer — is a type parameter, so each hook is
+//! monomorphized into its own copy of the kernel loop and the `()` copy
+//! carries no per-branch hook test:
 //!
-//! A fifth group makes the same argument for the observability layer:
-//! `observe_hook_disabled_ns` is plain `simulate` (the observed loop is a
-//! separate entry point, so the hot path never sees an observer), and
-//! `observe_hook_noop_ns` is `simulate_observed` with a `NullObserver` —
-//! the cost of materialising per-branch provenance into a sink that
-//! drops it, which bounds the armed-but-idle overhead.
+//! * **fault hook** — `fault_hook_disabled_ns` is plain `simulate` (the
+//!   `()` hook) on 2Bc-gskew and must stay in family with
+//!   `simulate_ev8_ns` history; `fault_hook_zero_rate_ns` is
+//!   `simulate_with_faults` with an armed rate-0 injector (one RNG draw
+//!   per branch), and `fault_hook_zero_rate_overhead` is their ratio;
+//! * **observe hook** — `observe_hook_disabled_ns` is plain `simulate`
+//!   on the EV8, and `observe_hook_noop_ns` is `simulate_observed` with
+//!   a `NullObserver`: the cost of materialising per-branch provenance
+//!   into a sink that drops it, which bounds the armed-but-idle
+//!   overhead (`observe_hook_noop_overhead`).
 //!
 //! # Paired sampling
 //!

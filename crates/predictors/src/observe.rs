@@ -10,11 +10,12 @@
 //! [`BranchPredictor::predict_and_update`] but returns the full
 //! [`Provenance`] of each conditional branch.
 //!
-//! Following the fault-injection subsystem's design, the observed path is
-//! a **separate entry point**: `simulate` in `ev8-sim` keeps calling the
-//! plain `predict_and_update`, and only the `simulate_observed` loop goes
-//! through this trait. The plain hot path carries no observer check at
-//! all (see the `observe_hook` group in `BENCH_sim.json`).
+//! Like the fault injector, the observed step is a compile-time hook of
+//! `ev8-sim`'s simulation kernel: `simulate` monomorphizes the plain
+//! `predict_and_update` step, and only `simulate_observed` and the
+//! attribution-collecting server sessions go through this trait. The
+//! plain hot path carries no observer check at all (see the
+//! `observe_hook` group in `BENCH_sim.json`).
 //!
 //! [`ConditionalBranchPredictor`] closes the loop across predictor
 //! *generations*: it is the full capability bundle — predict/update

@@ -56,7 +56,7 @@ impl Tally {
     /// prediction, if the record was a conditional branch. The
     /// misprediction count is branchless.
     #[inline]
-    pub fn step<P: ?Sized, H: StepHook<P>>(
+    pub(crate) fn step<P: ?Sized, H: StepHook<P>>(
         &mut self,
         predictor: &mut P,
         record: &BranchRecord,
@@ -76,7 +76,7 @@ impl Tally {
     /// Propagates the source's first error (only a corpus decode can
     /// fail).
     #[inline]
-    pub fn over<S: RecordSource, P: ?Sized, H: StepHook<P>>(
+    pub(crate) fn over<S: RecordSource, P: ?Sized, H: StepHook<P>>(
         source: S,
         predictor: &mut P,
         hook: &mut H,
@@ -88,7 +88,12 @@ impl Tally {
 
     /// This tally under a run header: the [`SimResult`] of a run of
     /// `predictor` over `instructions` instructions of `trace`.
-    pub fn into_result(self, trace: String, predictor: String, instructions: u64) -> SimResult {
+    pub(crate) fn into_result(
+        self,
+        trace: String,
+        predictor: String,
+        instructions: u64,
+    ) -> SimResult {
         SimResult {
             trace,
             predictor,
@@ -96,15 +101,6 @@ impl Tally {
             conditional_branches: self.conditional_branches,
             mispredictions: self.mispredictions,
         }
-    }
-}
-
-impl std::iter::Sum for Tally {
-    fn sum<I: Iterator<Item = Tally>>(iter: I) -> Tally {
-        iter.fold(Tally::default(), |total, t| Tally {
-            conditional_branches: total.conditional_branches + t.conditional_branches,
-            mispredictions: total.mispredictions + t.mispredictions,
-        })
     }
 }
 
@@ -116,7 +112,7 @@ impl std::iter::Sum for Tally {
 ///
 /// Propagates the source's first error, without a partial result.
 /// In-RAM sources are [`Infallible`]: `let Ok(result) = run(..);`.
-pub fn run<S: TraceSource, P: BranchPredictor + ?Sized, H: StepHook<P>>(
+pub(crate) fn run<S: TraceSource, P: BranchPredictor + ?Sized, H: StepHook<P>>(
     source: S,
     predictor: &mut P,
     hook: &mut H,
@@ -129,7 +125,7 @@ pub fn run<S: TraceSource, P: BranchPredictor + ?Sized, H: StepHook<P>>(
 }
 
 /// What the kernel does with one record on top of scoring it.
-pub trait StepHook<P: ?Sized> {
+pub(crate) trait StepHook<P: ?Sized> {
     /// Processes one record with immediate update, returning the
     /// prediction for a conditional record and `None` otherwise.
     fn predict_and_update(&mut self, predictor: &mut P, record: &BranchRecord) -> Option<Outcome>;
@@ -166,7 +162,7 @@ impl<P: BranchPredictor + FaultTarget> StepHook<P> for FaultInjector {
 /// point and hands every conditional branch's provenance to the wrapped
 /// [`Observer`]; at the end of a [`run`] the observer receives the
 /// predictor's §6 bank-collision counter.
-pub struct Observe<O>(pub O);
+pub(crate) struct Observe<O>(pub(crate) O);
 
 impl<P: ObservedPredictor + ?Sized, O: Observer> StepHook<P> for Observe<O> {
     #[inline]
@@ -182,7 +178,7 @@ impl<P: ObservedPredictor + ?Sized, O: Observer> StepHook<P> for Observe<O> {
 }
 
 /// A stream of records the kernel can walk once, in order.
-pub trait RecordSource {
+pub(crate) trait RecordSource {
     /// Why a walk can stop early ([`Infallible`] for in-RAM sources).
     type Error;
 
@@ -195,7 +191,7 @@ pub trait RecordSource {
 }
 
 /// A source that is a whole trace, and so names a [`SimResult`].
-pub trait TraceSource: RecordSource {
+pub(crate) trait TraceSource: RecordSource {
     /// The trace name and its total instruction count.
     fn header(&self) -> (&str, u64);
 }

@@ -66,7 +66,7 @@
 
 pub mod batch;
 pub mod experiments;
-pub mod kernel;
+mod kernel;
 pub mod metrics;
 pub mod observe;
 pub mod report;
@@ -77,7 +77,7 @@ pub mod sweep;
 pub mod window;
 
 pub use batch::{simulate_flat, simulate_gshare_sweep, simulate_many};
-pub use kernel::{run, Observe, RecordSource, StepHook, Tally, TraceSource};
+pub use kernel::Tally;
 pub use metrics::SimResult;
 pub use observe::simulate_observed;
 pub use sampling::{

@@ -51,10 +51,10 @@ pub fn simulate_corpus<P: BranchPredictor, R: std::io::Read>(
 /// conditional branch, *before* the branch is predicted, so a strike can
 /// corrupt the very next lookup.
 ///
-/// The injector is the kernel's [`StepHook`](crate::kernel::StepHook)
-/// for this run: monomorphization gives it its own loop, so [`simulate`]
-/// carries no per-branch flag test and no dead injector state (the
-/// `sim_hot_loop` bench records what the armed hook costs).
+/// The injector is the simulation kernel's step hook for this run:
+/// monomorphization gives it its own loop, so [`simulate`] carries no
+/// per-branch flag test and no dead injector state (the `sim_hot_loop`
+/// bench records what the armed hook costs).
 ///
 /// Faults are *soft errors*, not logical writes: they go straight to the
 /// storage arrays via

@@ -143,7 +143,11 @@ where
         })
         .collect();
     let per_window = run_parallel_with(jobs, workers.max(1), policy).into_complete();
-    let total: Tally = per_window.iter().copied().sum();
+    let mut total = Tally::default();
+    for window in &per_window {
+        total.conditional_branches += window.conditional_branches;
+        total.mispredictions += window.mispredictions;
+    }
     WindowedRun {
         result: total.into_result(
             trace.name().to_owned(),

@@ -75,12 +75,12 @@ pub fn simulate_flat<P: BranchPredictor>(mut predictor: P, trace: &FlatTrace) ->
 /// `&mut [Box<dyn BranchPredictor>]` for heterogeneous sweeps or
 /// `&mut [concrete]` for homogeneous ones.
 ///
-/// Each configuration takes one kernel [`Tally::step`] per record. The
-/// tallies live apart from the string-bearing results so the loop never
-/// touches the heap-allocated name fields; the config loop zips
-/// predictors with their tallies (no index arithmetic, no bounds
-/// checks), and the K predictor bodies carry no data dependencies
-/// between each other.
+/// Each configuration takes one kernel step (`Tally::step`) per
+/// record. The tallies live apart from the string-bearing results so
+/// the loop never touches the heap-allocated name fields; the config
+/// loop zips predictors with their tallies (no index arithmetic, no
+/// bounds checks), and the K predictor bodies carry no data
+/// dependencies between each other.
 pub fn simulate_many<P: BranchPredictor>(
     predictors: &mut [P],
     trace: &FlatTrace,

@@ -5,27 +5,38 @@
 //! used to report the results is mispredictions per 1000 instructions
 //! (misp/KI)."
 //!
+//! Every trace-driven front door below runs one predict-and-score
+//! kernel (a private `kernel` module): one per-record step that feeds a
+//! record to the predictor and scores the prediction into a [`Tally`],
+//! and one `run(source, predictor, hook)` that builds the [`SimResult`]
+//! header once. The record source (AoS [`ev8_trace::Trace`], packed
+//! [`ev8_trace::FlatTrace`], a slice of one, or a streaming corpus
+//! decode) and the step hook (none, a fault injector, or an observer)
+//! are type parameters, so each combination is monomorphized into its
+//! own loop and the plain loop carries no hook test. The differential
+//! matrix (`tests/differential.rs`) pins every front door against
+//! [`simulate`], field for field, for every predictor family.
+//!
 //! * [`simulator`] — [`simulate`] runs any
 //!   [`ev8_predictors::BranchPredictor`] over a trace with immediate
-//!   update; [`simulate_with_faults`] is the same loop with an
-//!   `ev8_faults` injector stepped per branch (a separate entry point,
-//!   so the fault-free hot path carries no disabled-hook cost);
-//!   [`simulate_stale_update`]
-//!   models a predictor with *no speculative history update* (the
-//!   pathology the paper's reference \[8\] warns about), while the faithful
-//!   commit-time model lives in
-//!   `TwoBcGskewConfig::with_commit_window` (validated by
-//!   [`experiments::delayed_update`]); [`simulate_corpus`] is the same
-//!   immediate-update loop fed by a streaming
+//!   update; [`simulate_with_faults`] is the same run with an
+//!   `ev8_faults` injector stepped per branch; [`simulate_corpus`] is
+//!   the same run fed by a streaming
 //!   [`ev8_trace::corpus::CorpusReader`] decode, bit-identical to
-//!   [`simulate`] on the same trace without ever materializing it.
+//!   [`simulate`] on the same trace without ever materializing it;
+//!   [`simulate_stale_update`] models a predictor with *no speculative
+//!   history update* (the pathology the paper's reference \[8\] warns
+//!   about) in a loop of its own, while the faithful commit-time model
+//!   lives in `TwoBcGskewConfig::with_commit_window` (validated by
+//!   [`experiments::delayed_update`]).
 //! * [`batch`] — the sweep engine: [`simulate_many`] steps K predictor
 //!   configurations per record in one pass over a packed
 //!   [`ev8_trace::FlatTrace`], bit-identical to K serial [`simulate`]
-//!   calls; [`simulate_flat`] is the single-config flat-trace loop.
+//!   calls; [`simulate_flat`] is the single-config flat-trace run;
+//!   [`simulate_gshare_sweep`] is the transposed engine for gshare
+//!   history-length sweeps.
 //! * [`observe`] — the opt-in observability layer: [`simulate_observed`]
-//!   threads an [`observe::Observer`] through a dedicated loop (again a
-//!   separate entry point — the plain hot path carries no hook), feeding
+//!   runs the kernel with an [`observe::Observer`] hook, feeding
 //!   per-branch provenance into attribution counters, runtime invariant
 //!   checks (§6 bank collisions, exact count reconciliation) and an
 //!   optional JSONL event stream.
@@ -34,6 +45,9 @@
 //!   with warmup prefixes, simulates them on worker threads, and splices
 //!   the scoreboards — bit-identical to serial at full warmup and with a
 //!   measured, convergent misprediction error otherwise.
+//! * [`session`] — [`SessionSim`], the prediction service's incremental
+//!   per-session run: one kernel step per streamed record, with the
+//!   bounded [`ProvenanceSummary`] observer when attribution is on.
 //! * [`sampling`] — SimPoint-style weighted phase sampling:
 //!   [`simulate_sampled`] profiles per-interval branch-behaviour
 //!   vectors in one streaming pass, clusters them with a deterministic

@@ -9,7 +9,7 @@
 //!
 //! [`SessionSim`] is the streaming equivalent: feed records as they
 //! decode, take a [`SessionSummary`] per trace. Each record is one
-//! simulation-kernel step ([`Tally::step`]), so its results are
+//! simulation-kernel step (`Tally::step`), so its results are
 //! **bit-identical** to [`crate::simulate`] over the same records — the
 //! differential matrix (`tests/differential.rs`) pins this for every
 //! predictor family, and the chaos acceptance suite pins concurrent

@@ -36,9 +36,9 @@
 //! each other, so the speed/accuracy trade is always visible in
 //! `BENCH_sim.json`.
 //!
-//! Each window's warmup and measured passes are
-//! [`Tally::over`] calls on a `(&FlatTrace, Range)` slice: the same
-//! kernel step as every other front door.
+//! Each window's warmup and measured passes are `Tally::over` calls on
+//! a `(&FlatTrace, Range)` slice: the same kernel step as every other
+//! front door.
 
 use std::sync::Arc;
 

@@ -180,14 +180,20 @@ fn row<P: ConditionalBranchPredictor + 'static>(
         tail_samples: 0,
         ..config
     };
-    for (door, config) in [
-        ("simulate_sampled (every interval sampled)", config),
-        ("simulate_sampled (full anchor)", full_anchor),
+    for (door, config, sampled) in [
+        ("simulate_sampled (every interval sampled)", config, true),
+        ("simulate_sampled (full anchor)", full_anchor, false),
     ] {
         let run = simulate_sampled(&fac, &flat, &config);
         expect(door, &run.estimate)?;
         prop_assert_eq!(run.estimated_mispredictions, serial.mispredictions as f64);
-        prop_assert_eq!(run.samples.len() + run.anchor_intervals, run.intervals);
+        let (samples, anchored) = if sampled {
+            (run.intervals, 0)
+        } else {
+            (0, run.intervals)
+        };
+        prop_assert_eq!(run.samples.len(), samples);
+        prop_assert_eq!(run.anchor_intervals, anchored);
         prop_assert_eq!(run.simulated_records, flat.len());
     }
     Ok(())

@@ -4,7 +4,7 @@
 //! which of BIM/G0/G1 provided a prediction, whether Meta chose the right
 //! side, what the §4.2 partial update did, and whether the §6 bank
 //! interleave really is conflict-free. [`simulate_observed`] runs the
-//! simulation kernel with its [`Observe`] hook, which consumes the
+//! simulation kernel with its `Observe` hook, which consumes the
 //! per-branch [`Provenance`] the predictor emits through
 //! [`ObservedPredictor`] and hands it to an [`Observer`].
 //!
@@ -368,7 +368,7 @@ impl<W: Write> Observer for JsonlObserver<W> {
 /// delivering every conditional branch's [`Provenance`] to `observer`
 /// and, at the end, the predictor's §6 bank-collision counter.
 ///
-/// This is the simulation kernel with the [`Observe`] hook: the same
+/// This is the simulation kernel with the `Observe` hook: the same
 /// record routing and scoring as [`crate::simulate`], and the observed
 /// predictor step is state-identical to the plain one, so for any
 /// predictor implementing both entry points the returned [`SimResult`]

@@ -124,7 +124,7 @@ where
     F: Fn() -> P + Send + Sync + 'static,
 {
     let len = trace.len();
-    let predictor = factory().name();
+    let predictor_name = factory().name();
     let factory = Arc::new(factory);
     let jobs: Vec<Box<dyn Fn() -> Tally + Send + 'static>> = (0..plan.windows(len))
         .map(|w| {
@@ -151,7 +151,7 @@ where
     WindowedRun {
         result: total.into_result(
             trace.name().to_owned(),
-            predictor,
+            predictor_name,
             trace.instruction_count(),
         ),
         plan,

@@ -623,28 +623,24 @@ fn session_inner(conn: Conn, shared: &Shared) -> SessionEnd {
                         )
                     }
                 };
-                let mut corpus_reader = match store.open_reader(&entry) {
+                let corpus_reader = match store.open_reader(&entry) {
                     Ok(r) => r,
                     Err(StoreError::Trace(e)) => return close_on_trace_error(&mut write, e),
                     Err(e) => return close_with(&mut write, code::INTERNAL, base, &e.to_string()),
                 };
-                // Stream the corpus chunk by chunk through the session
+                // Stream the corpus record by record through the session
                 // simulator — same per-record path as RECORDS frames, so
                 // the summary is bit-identical to a client-streamed run of
                 // the same trace on a fresh predictor.
                 sim.begin(corpus_reader.name(), corpus_reader.instruction_count());
-                loop {
-                    match corpus_reader.next_block() {
-                        Ok(Some(block)) => {
-                            shared
-                                .stats
-                                .records
-                                .fetch_add(block.len() as u64, Ordering::Relaxed);
-                            block.for_each(|rec| sim.feed(rec));
-                        }
-                        Ok(None) => break,
-                        Err(e) => return close_on_trace_error(&mut write, e),
-                    }
+                let mut fed = 0u64;
+                let walked = corpus_reader.for_each(|rec| {
+                    fed += 1;
+                    sim.feed(rec);
+                });
+                shared.stats.records.fetch_add(fed, Ordering::Relaxed);
+                if let Err(e) = walked {
+                    return close_on_trace_error(&mut write, e);
                 }
                 let summary = sim.finish();
                 shared.stats.traces.fetch_add(1, Ordering::Relaxed);

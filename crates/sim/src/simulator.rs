@@ -24,8 +24,8 @@ pub fn simulate<P: BranchPredictor>(mut predictor: P, trace: &Trace) -> SimResul
 /// Runs a predictor over a streaming corpus decode with immediate
 /// update — [`simulate`] fed from disk instead of RAM.
 ///
-/// Chunks decode one at a time into packed [`ev8_trace::FlatTrace`]
-/// blocks (see [`CorpusReader::next_block`]), so the 24 B/record AoS
+/// Chunks decode one at a time and each record goes to the kernel as it
+/// decodes (see [`CorpusReader::for_each`]), so the 24 B/record AoS
 /// [`Trace`] is never materialized: resident memory is one chunk
 /// regardless of trace length. The per-record step is the same kernel
 /// step as [`simulate`]'s, and the corpus totals are validated during

@@ -46,7 +46,7 @@ use ev8_util::bytebuf::ByteBuf;
 use crate::error::TraceError;
 use crate::trace::Trace;
 use crate::types::Pc;
-use crate::wire::{self, CountingReader, RECORD_PREALLOC_CAP};
+use crate::wire::{self, ByteSource, CountingReader, RECORD_PREALLOC_CAP};
 
 pub use crate::wire::{MAGIC, VERSION};
 
@@ -98,9 +98,7 @@ pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceError> {
     let mut records = Vec::with_capacity(count.min(RECORD_PREALLOC_CAP));
     let mut prev_next = Pc::default();
     for _ in 0..count {
-        let tag_at = r.offset();
-        let tag = r.read_u8()?;
-        let rec = wire::read_record_body(&mut r, tag, tag_at, prev_next)?;
+        let rec = wire::read_record(&mut r, prev_next)?;
         prev_next = rec.next_pc();
         records.push(rec);
     }

@@ -5,8 +5,8 @@
 //! workload cache caps experiments far below that. This module is the
 //! persistent tier: a zero-dependency container that stores a trace as
 //! independently decodable compressed chunks, so replay streams straight
-//! from disk into packed [`FlatTrace`] blocks without ever materializing
-//! the 24 B/record AoS [`Trace`].
+//! from disk, record by record or in packed [`FlatTrace`] blocks,
+//! without ever materializing the 24 B/record AoS [`Trace`].
 //!
 //! # On-disk layout (format version 1)
 //!
@@ -70,7 +70,7 @@ use crate::flat::{FlatTrace, FlatTraceBuilder};
 use crate::lz;
 use crate::trace::Trace;
 use crate::types::{BranchRecord, Pc};
-use crate::wire::{self, CountingReader};
+use crate::wire::{self, ByteSource, CountingReader, SliceCursor};
 
 /// Magic bytes identifying a corpus file (`EV8T` is the flat trace
 /// format; `EV8C` is the chunked corpus container).
@@ -301,12 +301,18 @@ pub fn write_corpus_chunked<W: Write>(
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Streaming corpus decoder: validates the prologue eagerly, then yields
-/// one packed [`FlatTrace`] block per chunk from sequential reads.
+/// Streaming corpus decoder: validates the prologue eagerly, then
+/// decodes one chunk at a time from sequential reads.
 ///
-/// Block-granular streaming is what keeps replay memory flat: at any
-/// moment only one compressed chunk, its decompressed wire bytes, and
-/// the packed block being built are resident, regardless of trace size.
+/// Chunk-granular streaming is what keeps replay memory flat: at any
+/// moment only one compressed chunk and its decompressed wire bytes are
+/// resident, regardless of trace size. A chunk's records go either to a
+/// closure ([`CorpusReader::for_each`], the record path the simulation
+/// kernel reads) or into a packed [`FlatTrace`] block
+/// ([`CorpusReader::next_block`], the block path). Both run the same
+/// per-chunk routine, with the same checks in the same order, so they
+/// fail with the same error at the same offset. No record of a chunk
+/// reaches either before that chunk's CRC has passed.
 pub struct CorpusReader<R: Read> {
     r: CountingReader<CrcRead<R>>,
     name: String,
@@ -322,6 +328,8 @@ pub struct CorpusReader<R: Read> {
     instructions_done: u64,
     /// Set once the end-of-stream validation has passed.
     finished: bool,
+    /// Set by the first error; every later call fails at once.
+    failed: bool,
     /// Scratch for the compressed and decompressed chunk bytes.
     stored_buf: Vec<u8>,
     raw_buf: Vec<u8>,
@@ -472,6 +480,7 @@ impl<R: Read> CorpusReader<R> {
             records_done: 0,
             instructions_done: 0,
             finished: false,
+            failed: false,
             stored_buf: Vec::new(),
             raw_buf: Vec::new(),
         })
@@ -507,14 +516,47 @@ impl<R: Read> CorpusReader<R> {
     /// validation (record and instruction totals, no trailing bytes)
     /// has passed.
     ///
+    /// This is the block path, for consumers that keep or re-walk a
+    /// chunk; a single pass over the records should use
+    /// [`CorpusReader::for_each`], which skips the packing.
+    ///
     /// # Errors
     ///
     /// [`TraceError::ChecksumMismatch`] when a chunk's stored bytes fail
     /// their CRC; [`TraceError::Corrupt`] / [`TraceError::UnexpectedEof`]
-    /// for structural damage. After an error the reader is poisoned —
-    /// further calls return whatever the underlying stream yields next,
-    /// with no records silently skipped.
+    /// for structural damage. After an error the reader is poisoned:
+    /// every further call returns [`TraceError::Corrupt`] at the offset
+    /// reached, with no records silently skipped.
     pub fn next_block(&mut self) -> Result<Option<FlatTrace>, TraceError> {
+        // The index entry's count was validated against `chunk_len`, so
+        // the presize is bounded by MAX_CHUNK_RECORDS.
+        let records = self
+            .index
+            .get(self.cursor)
+            .map_or(0, |e| e.records as usize);
+        let mut block = FlatTraceBuilder::with_capacity(&self.name, records);
+        let decoded = self.next_chunk(|rec| block.push(rec))?;
+        Ok(decoded.then(|| block.finish()))
+    }
+
+    /// Decodes the next chunk, handing each of its records to `sink` in
+    /// order, and returns `true`; or returns `false` once the
+    /// end-of-stream validation has passed. Poisons the reader on the
+    /// first error.
+    fn next_chunk(&mut self, sink: impl FnMut(&BranchRecord)) -> Result<bool, TraceError> {
+        if self.failed {
+            return Err(self.r.corrupt("corpus read after an earlier error"));
+        }
+        let result = self.decode_chunk(sink);
+        self.failed = result.is_err();
+        result
+    }
+
+    /// The per-chunk routine behind both paths: read the stored bytes,
+    /// check the CRC, decompress, decode every record into `sink`, check
+    /// for trailing bytes, then update the running totals — or, past the
+    /// final chunk, check the totals and that the stream has ended.
+    fn decode_chunk(&mut self, mut sink: impl FnMut(&BranchRecord)) -> Result<bool, TraceError> {
         if self.cursor == self.index.len() {
             if !self.finished {
                 if self.records_done != self.record_count {
@@ -528,7 +570,7 @@ impl<R: Read> CorpusReader<R> {
                 }
                 self.finished = true;
             }
-            return Ok(None);
+            return Ok(false);
         }
         let entry = self.index[self.cursor];
         let chunk_at = self.r.offset();
@@ -561,23 +603,22 @@ impl<R: Read> CorpusReader<R> {
         // Record-decode errors report `chunk_at` plus the position in
         // the *decompressed* wire bytes (those positions do not exist in
         // the file, but they locate the failure within the chunk).
-        let mut body = CountingReader::new_at(raw, chunk_at);
-        let mut builder = FlatTraceBuilder::new(&self.name);
+        let mut body = SliceCursor::new_at(raw, chunk_at);
         let mut prev_next = Pc::default();
+        let mut instructions = 0u64;
         for _ in 0..entry.records {
-            let tag_at = body.offset();
-            let tag = body.read_u8()?;
-            let rec = wire::read_record_body(&mut body, tag, tag_at, prev_next)?;
+            let rec = wire::read_record(&mut body, prev_next)?;
             prev_next = rec.next_pc();
-            builder.push(&rec);
+            instructions += 1 + u64::from(rec.gap);
+            sink(&rec);
         }
         if body.offset() - chunk_at != entry.raw_len {
             return Err(body.corrupt("chunk body has trailing bytes"));
         }
         self.cursor += 1;
         self.records_done += entry.records;
-        self.instructions_done += builder.instruction_count();
-        Ok(Some(builder.finish()))
+        self.instructions_done += instructions;
+        Ok(true)
     }
 
     /// Walks every block in order, invoking `f` on each.
@@ -592,33 +633,40 @@ impl<R: Read> CorpusReader<R> {
         Ok(())
     }
 
-    /// Walks every record in order, invoking `f` on each — the
-    /// record-granular form of [`CorpusReader::for_each_block`].
+    /// Walks every record in order, invoking `f` on each: the record
+    /// path, which hands each record to `f` as it decodes instead of
+    /// packing a block first.
+    ///
+    /// A chunk's records reach `f` only after its CRC has passed, but a
+    /// chunk that fails later (a record that does not decode, trailing
+    /// bytes, the end-of-stream totals) may already have handed `f` some
+    /// records. The error is the same one [`CorpusReader::next_block`]
+    /// returns, so a caller that discards its partial state on error
+    /// gets the same result from either path.
     ///
     /// # Errors
     ///
     /// Propagates the first decode error; see [`CorpusReader::next_block`].
-    pub fn for_each(self, mut f: impl FnMut(&BranchRecord)) -> Result<(), TraceError> {
-        self.for_each_block(|block| block.for_each(&mut f))
+    pub fn for_each(mut self, mut f: impl FnMut(&BranchRecord)) -> Result<(), TraceError> {
+        while self.next_chunk(&mut f)? {}
+        Ok(())
     }
 
     /// Materializes the whole corpus as an AoS [`Trace`] — the
     /// compatibility path for consumers that need random access; replay
-    /// paths should stream blocks instead.
+    /// paths should stream instead.
     ///
     /// # Errors
     ///
     /// Propagates the first decode error; see [`CorpusReader::next_block`].
     pub fn read_trace(self) -> Result<Trace, TraceError> {
         let name = self.name.clone();
+        let instruction_count = self.instruction_count;
         let declared = self.record_count.min(wire::RECORD_PREALLOC_CAP as u64) as usize;
         let mut records = Vec::with_capacity(declared);
-        let mut instruction_count = 0u64;
-        self.for_each_block(|block| {
-            instruction_count += block.instruction_count();
-            records.extend(block.iter());
-        })?;
-        // The totals cross-check in next_block guarantees the invariant
+        self.for_each(|rec| records.push(*rec))?;
+        // The end-of-stream totals check proved the decoded instruction
+        // count equals the declared one, the invariant
         // Trace::from_parts asserts.
         Ok(Trace::from_parts(name, records, instruction_count))
     }
@@ -756,6 +804,64 @@ mod tests {
             }
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
+    }
+
+    /// Offset of the first chunk payload byte in an intact corpus.
+    fn body_start(bytes: &[u8]) -> usize {
+        let reader = CorpusReader::new(bytes).expect("open");
+        let stored: u64 = reader.index.iter().map(|e| e.comp_len).sum();
+        bytes.len() - stored as usize
+    }
+
+    /// Calls `next_block` twice more after `err` and checks both calls
+    /// fail as poisoned at `offset`.
+    fn assert_poisoned(reader: &mut CorpusReader<&[u8]>, offset: u64) {
+        for _ in 0..2 {
+            match reader.next_block() {
+                Err(TraceError::Corrupt { what, offset: at }) => {
+                    assert_eq!(what, "corpus read after an earlier error");
+                    assert_eq!(at, offset);
+                }
+                other => panic!("expected a poisoned reader, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reader_is_poisoned_after_a_checksum_mismatch() {
+        let trace = sample(200);
+        let mut bytes = encode(&trace, 64);
+        let start = body_start(&bytes);
+        bytes[start] ^= 0x40; // first chunk's first stored byte
+        let mut reader = CorpusReader::new(bytes.as_slice()).expect("prologue intact");
+        let first_len = reader.index[0].comp_len;
+        match reader.next_block() {
+            Err(TraceError::ChecksumMismatch { offset, .. }) => {
+                assert_eq!(offset, start as u64);
+            }
+            other => panic!("expected checksum mismatch, got {other:?}"),
+        }
+        // Without the poison the next call would check chunk 1's bytes
+        // against chunk 0's index entry.
+        assert_poisoned(&mut reader, start as u64 + first_len);
+    }
+
+    #[test]
+    fn reader_is_poisoned_after_a_truncation() {
+        let trace = sample(200);
+        let bytes = encode(&trace, 64);
+        let start = body_start(&bytes);
+        let reader = CorpusReader::new(bytes.as_slice()).expect("open");
+        let cut = start + reader.index[0].comp_len as usize + 3; // inside chunk 1
+        let mut reader = CorpusReader::new(&bytes[..cut]).expect("prologue intact");
+        assert!(reader.next_block().expect("chunk 0 intact").is_some());
+        let chunk_at = reader.r.offset();
+        match reader.next_block() {
+            Err(TraceError::UnexpectedEof { offset }) => assert_eq!(offset, chunk_at),
+            other => panic!("expected eof, got {other:?}"),
+        }
+        let reached = reader.r.offset();
+        assert_poisoned(&mut reader, reached);
     }
 
     #[test]

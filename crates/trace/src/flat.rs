@@ -387,9 +387,9 @@ impl FlatTrace {
 /// Incrementally builds a [`FlatTrace`] one record at a time.
 ///
 /// [`FlatTrace::from_trace`] needs the whole AoS [`Trace`] in memory
-/// first; the corpus streaming decoder ([`crate::corpus::CorpusReader`])
+/// first; the corpus block path ([`crate::corpus::CorpusReader::next_block`])
 /// instead packs each record into the flat columns as it is decoded, so
-/// a corpus replay never materializes the 24 B/record representation.
+/// a block never passes through the 24 B/record representation.
 /// The packing is bit-identical to `from_trace`'s — pinned by a unit
 /// test — so `FlatTraceBuilder` output is `==` to the equivalent
 /// `from_trace` result.
@@ -420,6 +420,22 @@ impl FlatTraceBuilder {
         FlatTraceBuilder {
             flat: FlatTrace {
                 name: name.to_owned(),
+                ..FlatTrace::default()
+            },
+        }
+    }
+
+    /// Starts a builder for a trace called `name` whose columns have
+    /// room for `records` records without reallocating.
+    pub fn with_capacity(name: &str, records: usize) -> Self {
+        FlatTraceBuilder {
+            flat: FlatTrace {
+                name: name.to_owned(),
+                pc_words: Vec::with_capacity(records),
+                target_words: Vec::with_capacity(records),
+                kinds: Vec::with_capacity(records),
+                gaps: Vec::with_capacity(records),
+                outcomes: Vec::with_capacity(records.div_ceil(64)),
                 ..FlatTrace::default()
             },
         }

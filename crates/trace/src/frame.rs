@@ -12,8 +12,7 @@
 //!
 //! Frame *kinds* are opaque to this module (the server's protocol module
 //! assigns meanings); what lives here is the hostile-input hardening,
-//! built on the same [`CountingReader`] offset discipline as the trace
-//! decoders:
+//! built on the same offset discipline as the trace decoders:
 //!
 //! * a declared payload length is validated against the per-frame cap
 //!   **before** any allocation ([`TraceError::FrameTooLarge`]);
@@ -36,7 +35,7 @@ use ev8_util::bytebuf::ByteBuf;
 
 use crate::error::TraceError;
 use crate::types::{BranchRecord, Pc};
-use crate::wire::{self, CountingReader, SessionBudget};
+use crate::wire::{self, ByteSource, CountingReader, SessionBudget, SliceCursor};
 
 /// Encoded size of a frame header (kind byte + u32 length).
 pub const FRAME_HEADER_LEN: usize = 5;
@@ -189,7 +188,7 @@ pub fn decode_records(
     base_offset: u64,
     out: &mut Vec<BranchRecord>,
 ) -> Result<(), TraceError> {
-    let mut r = CountingReader::new_at(payload, base_offset);
+    let mut r = SliceCursor::new_at(payload, base_offset);
     let count_at = r.offset();
     let count = r.read_varint()?;
     // Structural bound: the smallest record encoding is 4 bytes, so an
@@ -205,9 +204,7 @@ pub fn decode_records(
     budget.charge_records(count, count_at)?;
     out.reserve(count as usize);
     for _ in 0..count {
-        let tag_at = r.offset();
-        let tag = r.read_u8()?;
-        let rec = wire::read_record_body(&mut r, tag, tag_at, *prev_next)?;
+        let rec = wire::read_record(&mut r, *prev_next)?;
         *prev_next = rec.next_pc();
         out.push(rec);
     }

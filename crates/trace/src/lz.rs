@@ -184,12 +184,17 @@ pub(crate) fn decompress(
         if out.len() + match_len > expected_len {
             return Err("output exceeds declared chunk size");
         }
-        // Byte-wise copy: overlapping matches (offset < match_len)
-        // replicate the produced prefix, which is the RLE case.
         let start = out.len() - offset;
-        for src in start..start + match_len {
-            let b = out[src];
-            out.push(b);
+        if offset >= match_len {
+            // The source lies wholly in the produced prefix: one copy.
+            out.extend_from_within(start..start + match_len);
+        } else {
+            // Overlapping match: each byte copies one produced `offset`
+            // bytes earlier, replicating the prefix (the RLE case).
+            for src in start..start + match_len {
+                let b = out[src];
+                out.push(b);
+            }
         }
         if out.len() == expected_len {
             // Stream may end on a match with no final literal sequence.
@@ -255,6 +260,53 @@ mod tests {
         roundtrip(&data);
     }
 
+    /// One sequence: `literals`, then a match of `len` bytes at `offset`.
+    fn sequence(literals: &[u8], offset: u16, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_sequence(&mut out, literals, Some((offset as usize, len)));
+        out
+    }
+
+    /// Decodes `stream` and checks it yields `want`.
+    fn decodes_to(stream: &[u8], want: &[u8]) {
+        let mut out = Vec::new();
+        decompress(stream, want.len(), &mut out).expect("decompress");
+        assert_eq!(out, want);
+    }
+
+    #[test]
+    fn match_copies_by_offset_against_length() {
+        // offset == len: the match repeats the whole produced prefix, the
+        // boundary of the one-copy branch.
+        decodes_to(&sequence(b"wxyz", 4, 4), b"wxyzwxyz");
+        // offset == 1: RLE of the last byte.
+        decodes_to(&sequence(b"q", 1, 9), b"qqqqqqqqqq");
+        // offset < len < 2 * offset: the copy overlaps its own output.
+        decodes_to(&sequence(b"abcde", 5, 7), b"abcdeabcdeab");
+        // offset > len: a copy from the middle of the prefix.
+        decodes_to(&sequence(b"abcdefgh", 6, 4), b"abcdefghcdef");
+    }
+
+    #[test]
+    fn extension_bytes_roundtrip_at_their_boundaries() {
+        // Literal and match lengths whose extension takes one byte, and
+        // ones that need a 255 continuation and then a second byte.
+        let ramp = |n: usize| (0..n).map(|i| (i * 7 + i / 256) as u8).collect::<Vec<u8>>();
+        for lit in [15usize, 16, 269, 270, 271, 600] {
+            for len in [18usize, 19, 20, 273, 274, 275, 600] {
+                let literals = ramp(lit);
+                let offset = lit.min(40);
+                let stream = sequence(&literals, offset as u16, len);
+                let mut want = literals.clone();
+                for _ in 0..len {
+                    want.push(want[want.len() - offset]);
+                }
+                decodes_to(&stream, &want);
+                roundtrip(&want);
+            }
+        }
+    }
+
     #[test]
     fn corrupt_streams_fail_structurally() {
         let data: Vec<u8> = b"abcabcabcabcabcabc".repeat(20).to_vec();
@@ -285,6 +337,34 @@ mod tests {
         // Empty input is not a valid stream for nonzero output.
         out.clear();
         assert!(decompress(&[], 4, &mut out).is_err());
+    }
+
+    #[test]
+    fn corrupt_stream_errors_are_pinned() {
+        // Every case of `corrupt_streams_fail_structurally`, with its
+        // outcome (the error, and how much output was produced) rendered
+        // in order. The CRC-32 of that transcript was recorded from the
+        // decoder whose match copy pushed one byte at a time.
+        let data: Vec<u8> = b"abcabcabcabcabcabc".repeat(20).to_vec();
+        let packed = compress(&data);
+        let mut transcript = String::new();
+        let mut run = |stream: &[u8], len: usize| {
+            let mut out = Vec::new();
+            let result = decompress(stream, len, &mut out);
+            transcript.push_str(&format!("{result:?} {}\n", out.len()));
+        };
+        run(&packed, data.len() + 1);
+        run(&packed, data.len() - 1);
+        for cut in 0..packed.len() {
+            run(&packed[..cut], data.len());
+        }
+        for i in 0..packed.len() {
+            let mut m = packed.clone();
+            m[i] = m[i].wrapping_add(0x41);
+            run(&m, data.len());
+        }
+        run(&[], 4);
+        assert_eq!(ev8_util::crc::crc32(transcript.as_bytes()), 0x6238_7cad);
     }
 
     #[test]

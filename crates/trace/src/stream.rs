@@ -12,7 +12,7 @@ use ev8_util::bytebuf::ByteBuf;
 
 use crate::error::TraceError;
 use crate::types::{BranchRecord, Pc};
-use crate::wire::{self, CountingReader};
+use crate::wire::{self, ByteSource, CountingReader};
 
 /// Incrementally writes a trace stream in the binary format.
 ///

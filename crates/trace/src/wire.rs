@@ -6,10 +6,15 @@
 //! encode/decode logic, so hardening against corrupt inputs lands in one
 //! place.
 //!
-//! All decoding goes through [`CountingReader`], which tracks the byte
-//! offset consumed so far: every corrupt-path [`TraceError`] reports
-//! *where* in the input the problem was detected, which is what makes
-//! fuzzer findings and truncated-download reports actionable.
+//! Decoding reads from one of two [`ByteSource`]s: [`CountingReader`]
+//! over any [`Read`] (the whole-trace and streaming readers, frame
+//! headers, the corpus prologue) and [`SliceCursor`] over bytes already
+//! in memory (corpus chunk bodies, frame payloads). Both track the byte
+//! offset consumed so far and raise the same errors at the same offsets:
+//! every corrupt-path [`TraceError`] reports *where* in the input the
+//! problem was detected, which is what makes fuzzer findings and
+//! truncated-download reports actionable. [`read_record_body`] is
+//! generic over the two, so there is one record decoder.
 
 use std::io::Read;
 
@@ -80,6 +85,29 @@ pub(crate) fn put_varint(buf: &mut ByteBuf, mut v: u64) {
     }
 }
 
+/// Where the record decoder reads its bytes from: a position-tracking
+/// byte source whose errors carry the offset they were detected at.
+pub(crate) trait ByteSource {
+    /// Bytes consumed so far, plus the source's base offset.
+    fn offset(&self) -> u64;
+
+    /// Reads one byte; running out is [`TraceError::UnexpectedEof`] at
+    /// the current offset.
+    fn read_u8(&mut self) -> Result<u8, TraceError>;
+
+    /// Reads an LEB128 varint, rejecting encodings wider than 64 bits
+    /// with [`TraceError::Corrupt`] at the offset where it started.
+    fn read_varint(&mut self) -> Result<u64, TraceError>;
+
+    /// Builds a [`TraceError::Corrupt`] at the current offset.
+    fn corrupt(&self, what: &'static str) -> TraceError {
+        TraceError::Corrupt {
+            what,
+            offset: self.offset(),
+        }
+    }
+}
+
 /// A [`Read`] adapter that counts consumed bytes, so decode errors can
 /// say at which offset the input went wrong.
 pub(crate) struct CountingReader<R> {
@@ -92,31 +120,11 @@ impl<R: Read> CountingReader<R> {
         CountingReader { inner, offset: 0 }
     }
 
-    /// A reader whose offset starts at `offset` instead of 0 — used when
-    /// decoding a payload extracted from a larger stream (a frame body),
-    /// so errors report positions in the *session* stream, not the slice.
-    pub(crate) fn new_at(inner: R, offset: u64) -> Self {
-        CountingReader { inner, offset }
-    }
-
-    /// Bytes successfully consumed so far.
-    pub(crate) fn offset(&self) -> u64 {
-        self.offset
-    }
-
     /// Mutable access to the wrapped reader. The corpus decoder uses
     /// this to snapshot (and then disable) its prologue CRC accumulator
     /// once the checksummed header + index region has been consumed.
     pub(crate) fn get_mut(&mut self) -> &mut R {
         &mut self.inner
-    }
-
-    /// Builds a [`TraceError::Corrupt`] at the current offset.
-    pub(crate) fn corrupt(&self, what: &'static str) -> TraceError {
-        TraceError::Corrupt {
-            what,
-            offset: self.offset,
-        }
     }
 
     /// Reads exactly `buf.len()` bytes; a short read reports
@@ -136,12 +144,6 @@ impl<R: Read> CountingReader<R> {
         }
     }
 
-    pub(crate) fn read_u8(&mut self) -> Result<u8, TraceError> {
-        let mut byte = [0u8; 1];
-        self.read_exact(&mut byte)?;
-        Ok(byte[0])
-    }
-
     /// Reads one byte, returning `Ok(None)` on clean end-of-stream — the
     /// record-boundary probe streamed traces use to detect their end.
     pub(crate) fn try_read_u8(&mut self) -> Result<Option<u8>, TraceError> {
@@ -155,26 +157,104 @@ impl<R: Read> CountingReader<R> {
             Err(e) => Err(TraceError::Io(e)),
         }
     }
+}
 
-    /// Reads an LEB128 varint, rejecting encodings wider than 64 bits.
-    pub(crate) fn read_varint(&mut self) -> Result<u64, TraceError> {
-        let start = self.offset;
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.read_u8()?;
-            if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
-                return Err(TraceError::Corrupt {
-                    what: "varint overflow",
-                    offset: start,
-                });
-            }
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
+/// The LEB128 decode loop, for any [`ByteSource`]. Overflow is reported
+/// at `start`, the offset of the varint's first byte.
+#[inline(always)]
+fn read_varint_from<S: ByteSource>(src: &mut S, start: u64) -> Result<u64, TraceError> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let b = src.read_u8()?;
+        if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
+            return Err(TraceError::Corrupt {
+                what: "varint overflow",
+                offset: start,
+            });
         }
+        v |= ((b & 0x7f) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+impl<R: Read> ByteSource for CountingReader<R> {
+    fn offset(&self) -> u64 {
+        self.offset
+    }
+
+    fn read_u8(&mut self) -> Result<u8, TraceError> {
+        let mut byte = [0u8; 1];
+        self.read_exact(&mut byte)?;
+        Ok(byte[0])
+    }
+
+    fn read_varint(&mut self) -> Result<u64, TraceError> {
+        read_varint_from(self, self.offset)
+    }
+}
+
+/// A cursor over bytes already in memory: the [`ByteSource`] for corpus
+/// chunk bodies and frame payloads. Same errors at the same offsets as
+/// a [`CountingReader`] over the same bytes, without a `Read` call per
+/// field.
+///
+/// Its methods, [`read_varint_from`] and the record decoder are
+/// `#[inline(always)]`: left to the heuristics, the varint read stays an
+/// out-of-line call that returns its `Result` through memory, which
+/// roughly doubled the corpus record path's cost per record.
+pub(crate) struct SliceCursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Offset of `bytes[0]` in the enclosing stream, so errors report
+    /// stream positions, not slice positions.
+    base: u64,
+}
+
+impl<'a> SliceCursor<'a> {
+    /// A cursor at the start of `bytes`, which sit at `base` in the
+    /// enclosing stream.
+    pub(crate) fn new_at(bytes: &'a [u8], base: u64) -> Self {
+        SliceCursor {
+            bytes,
+            pos: 0,
+            base,
+        }
+    }
+}
+
+impl ByteSource for SliceCursor<'_> {
+    #[inline(always)]
+    fn offset(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    #[inline(always)]
+    fn read_u8(&mut self) -> Result<u8, TraceError> {
+        match self.bytes.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(TraceError::UnexpectedEof {
+                offset: self.offset(),
+            }),
+        }
+    }
+
+    #[inline(always)]
+    fn read_varint(&mut self) -> Result<u64, TraceError> {
+        // Most deltas and gaps fit one byte.
+        if let Some(&b) = self.bytes.get(self.pos) {
+            if b & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
+        read_varint_from(self, self.offset())
     }
 }
 
@@ -370,11 +450,25 @@ pub(crate) fn put_record(buf: &mut ByteBuf, rec: &BranchRecord, prev_next: Pc) {
     put_varint(buf, rec.gap as u64);
 }
 
+/// Decodes one record (tag and body) given the previous record's
+/// fall-through PC.
+#[inline(always)]
+pub(crate) fn read_record<S: ByteSource>(
+    r: &mut S,
+    prev_next: Pc,
+) -> Result<BranchRecord, TraceError> {
+    let tag_at = r.offset();
+    let tag = r.read_u8()?;
+    read_record_body(r, tag, tag_at, prev_next)
+}
+
 /// Decodes the body of one record, `tag` having already been read at
-/// offset `tag_at`. Shared by the whole-trace and streaming readers (the
-/// stream reader must probe the tag byte itself to detect clean EOS).
-pub(crate) fn read_record_body<R: Read>(
-    r: &mut CountingReader<R>,
+/// offset `tag_at`: the one record decoder, behind every reader (the
+/// stream reader calls it directly because it must probe the tag byte
+/// itself to detect clean EOS).
+#[inline(always)]
+pub(crate) fn read_record_body<S: ByteSource>(
+    r: &mut S,
     tag: u8,
     tag_at: u64,
     prev_next: Pc,
@@ -475,6 +569,50 @@ mod tests {
         match r.read_u8() {
             Err(TraceError::UnexpectedEof { offset: 5 }) => {}
             other => panic!("expected eof at 5, got {other:?}"),
+        }
+    }
+
+    /// Reads `bytes` as varints through both byte sources, each placed
+    /// at stream offset 100, until the first error; returns the
+    /// rendered outcomes.
+    fn varints_both_ways(bytes: &[u8]) -> (String, String) {
+        fn drain(src: &mut impl ByteSource) -> String {
+            let mut out = String::new();
+            loop {
+                let r = src.read_varint();
+                out.push_str(&format!("{r:?}@{} ", src.offset()));
+                if r.is_err() {
+                    return out;
+                }
+            }
+        }
+        let mut prefixed = vec![0u8; 100];
+        prefixed.extend_from_slice(bytes);
+        let mut counting = CountingReader::new(prefixed.as_slice());
+        let mut skip = vec![0u8; 100];
+        counting.read_exact(&mut skip).unwrap();
+        let a = drain(&mut counting);
+        let b = drain(&mut SliceCursor::new_at(bytes, 100));
+        (a, b)
+    }
+
+    #[test]
+    fn slice_cursor_matches_counting_reader() {
+        let mut encoded = ByteBuf::new();
+        for v in [0u64, 1, 127, 128, 300, 1 << 35, u64::MAX] {
+            put_varint(&mut encoded, v);
+        }
+        let encoded = encoded.into_vec();
+        let mut cases = vec![encoded.clone(), vec![0xff; 11], vec![0x80, 0x80]];
+        // Ten-byte varints whose last byte overflows 64 bits or not.
+        cases.push([vec![0xff; 9], vec![0x01]].concat());
+        cases.push([vec![0xff; 9], vec![0x02]].concat());
+        for cut in 0..encoded.len() {
+            cases.push(encoded[..cut].to_vec());
+        }
+        for bytes in &cases {
+            let (counting, slice) = varints_both_ways(bytes);
+            assert_eq!(counting, slice, "bytes {bytes:02x?}");
         }
     }
 

@@ -399,8 +399,8 @@ impl CorpusStore {
     pub fn verify(&self, entry: &CatalogEntry) -> Result<u64, StoreError> {
         let reader = self.open_reader(entry)?;
         let mut records = 0u64;
-        reader.for_each_block(|block| records += block.len() as u64)?;
-        // for_each_block's end-of-stream validation already proved the
+        reader.for_each(|_| records += 1)?;
+        // for_each's end-of-stream validation already proved the
         // decoded totals equal the header's, and open_reader pinned the
         // header to the catalog — this is belt and braces.
         if records != entry.record_count {

@@ -23,9 +23,9 @@
 //!   caps and cumulative per-session [`SessionBudget`]s, the hardened
 //!   substrate of the prediction-as-a-service protocol.
 //! * [`corpus`] — a chunked, compressed, checksummed on-disk corpus
-//!   container whose [`corpus::CorpusReader`] streams chunk-by-chunk
-//!   into packed [`FlatTrace`] blocks, never materializing the AoS
-//!   representation.
+//!   container whose [`corpus::CorpusReader`] streams chunk-by-chunk,
+//!   record by record or into packed [`FlatTrace`] blocks, never
+//!   materializing the AoS representation.
 //!
 //! # Example
 //!

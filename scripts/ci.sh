@@ -157,17 +157,19 @@ sampling_smoke() {
 budgeted "sampling smoke" EV8_SAMPLING_BUDGET 120 -- sampling_smoke
 
 # Benchmark reference smoke, budgeted: the built benchmark binary runs
-# the paper's predictors (suite_paper_ram) and the phase sampler
-# (suite_sampled) at the default seed, whose results it checks against
-# the stored references in benchsuite/references/seed-0.txt. The
-# self-tests above compute their references with the same predictor
-# code at a tiny scale, so only this step catches a predictor change
-# that moves a misprediction count. Each run's last line must report
-# "correct": true.
+# the paper's predictors (suite_paper_ram), the phase sampler
+# (suite_sampled), the corpus read path (suite_corpus_stream) and the
+# server's framed record decode (server_sessions) at the default seed,
+# whose results it checks against the stored references in
+# benchsuite/references/seed-0.txt. The self-tests above compute their
+# references with the same code at a tiny scale, so only this step
+# catches a predictor or decoder change that moves a misprediction
+# count on the benchmark's real traces. Each run's last line must
+# report "correct": true.
 bench_reference_smoke() {
     run cargo build --release --offline --quiet --manifest-path benchsuite/Cargo.toml
     local w last
-    for w in suite_paper_ram suite_sampled; do
+    for w in suite_paper_ram suite_sampled suite_corpus_stream server_sessions; do
         last=$(benchsuite/target/release/ev8-benchsuite \
             --workload "$w" --seed 0 --seconds 1 --trace 0 | tail -n 1)
         echo "$last"
